@@ -27,6 +27,7 @@ from .errors import (
     NoBreakdownError,
     NoKneeError,
 )
+from .transport import sweep_arrays
 
 __all__ = [
     "RampTrace",
@@ -38,6 +39,7 @@ __all__ = [
     "fit_weibull_shape",
     "find_transition",
     "critical_defect_density",
+    "check_ramp_steps",
     "DEFAULT_RAMP_STEP_V",
     "DEFAULT_RAMP_RATE_V_PER_S",
 ]
@@ -50,14 +52,27 @@ _KNEE_GAIN = 0.20       # two-segment SSE must undercut the single line by this
 _KNEE_SLOPE_RATIO = 2.0  # intrinsic wall must be this much steeper than the tail
 _MIN_WEIBULL_N = 10
 _MIN_TRANSITION_N = 20  # two segments need support
+_STEP_TOL = 0.01        # the instrument occasionally drops a rounding digit
+
+
+def check_ramp_steps(v: np.ndarray, step_v: float) -> None:
+    """The one ramp-step rule, shared by RampTrace and the dataset readers:
+    every step of the increasing voltages v lies within 1% of their mean,
+    and the mean within 1% of the declared step_v (else ValueError)."""
+    steps = np.diff(v)
+    mean = steps.mean()
+    if (np.max(np.abs(steps - mean)) > _STEP_TOL * mean
+            or abs(mean - step_v) > _STEP_TOL * step_v):
+        raise ValueError("ramp voltages must advance in constant steps of step_v "
+                         "(within 1%)")
 
 
 @dataclass(frozen=True)
 class RampTrace:
     """A staircase voltage ramp on one junction.
 
-    v : step voltages [V], strictly increasing with a constant step (1%
-        tolerance, the instrument occasionally drops a rounding digit)
+    v : step voltages [V], strictly increasing in constant steps of step_v
+        (see check_ramp_steps)
     i : measured currents [A], finite
     """
 
@@ -69,21 +84,10 @@ class RampTrace:
     rate_v_per_s: float = DEFAULT_RAMP_RATE_V_PER_S
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        i = np.asarray(self.i, dtype=float)
+        v, i = sweep_arrays(self.v, self.i)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "i", i)
-        if v.ndim != 1 or v.shape != i.shape:
-            raise ValueError("v and i must be 1-D arrays of equal length")
-        if v.size < 2:
-            raise ValueError(f"a ramp needs at least 2 steps, got {v.size}")
-        if not np.all(np.isfinite(v)) or not np.all(np.isfinite(i)):
-            raise ValueError("v and i must be finite")
-        steps = np.diff(v)
-        if not np.all(steps > 0.0):
-            raise ValueError("ramp voltages must be strictly increasing")
-        if np.max(np.abs(steps - steps.mean())) > 0.01 * steps.mean():
-            raise ValueError("ramp step size must be constant within 1%")
+        check_ramp_steps(v, self.step_v)
         if not (self.area_um2 > 0.0):
             raise ValueError(f"area_um2 must be positive, got {self.area_um2}")
 

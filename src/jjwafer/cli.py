@@ -12,7 +12,7 @@ Subcommands:
 Exit codes: 0 success, 1 invalid input (bad flags, malformed dataset,
 bad config), 2 one or more analysis stages failed (the report is still
 produced), 3 filesystem trouble.  With several input files the worst
-code wins; files are processed concurrently but printed in input order.
+code wins; files are processed one after another, in input order.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .dataset import load_dataset, save_dataset
+from .dataset import atomic_write_text, cap_areas, cap_wafer_map, load_dataset, save_dataset
 from .errors import DatasetError
 from .report import STAGES, AnalysisConfig, analyze, export_wafer_grid, render_json, render_text
 from .synthetic import PRESET_NAMES, WaferSpec, generate_wafer, preset_spec
@@ -188,7 +187,7 @@ def _stem(path: str) -> str:
 
 def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
                  out_dir: str | None, with_grids: bool):
-    """Worker: returns (exit_code, stdout_text, stderr_text)."""
+    """One file: returns (exit_code, stdout_text, stderr_text)."""
     try:
         ds = load_dataset(path)
     except DatasetError as exc:
@@ -198,15 +197,12 @@ def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
     report = analyze(ds, config=config, stages=stages)
     rendered = render_json(report) if fmt == "json" else render_text(report)
     code = EXIT_ANALYSIS if report.stage_errors else EXIT_OK
-    err = ""
     if out_dir is not None:
         ext = "json" if fmt == "json" else "txt"
         target = os.path.join(out_dir, f"{_stem(path)}.report.{ext}")
         try:
-            from .dataset import atomic_write_text
             atomic_write_text(target, rendered)
             if with_grids:
-                from .dataset import cap_areas, cap_wafer_map
                 for area in cap_areas(ds):
                     grid_path = os.path.join(
                         out_dir, f"{_stem(path)}.cap{area:g}.csv"
@@ -215,9 +211,7 @@ def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
         except OSError as exc:
             return EXIT_IO, rendered, f"jjwafer: error: cannot write under " \
                                       f"{out_dir}: {exc}\n"
-        except DatasetError as exc:
-            return EXIT_INVALID, rendered, f"jjwafer: error: {path}: {exc}\n"
-    return code, rendered, err
+    return code, rendered, ""
 
 
 def _run_many(paths, config, stages, fmt, out_dir, with_grids) -> int:
@@ -228,18 +222,10 @@ def _run_many(paths, config, stages, fmt, out_dir, with_grids) -> int:
             print(f"jjwafer: error: cannot create {out_dir}: {exc}",
                   file=sys.stderr)
             return EXIT_IO
-    if len(paths) == 1:
-        results = [_analyze_one(paths[0], config, stages, fmt, out_dir,
-                                with_grids)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-            results = list(pool.map(
-                lambda p: _analyze_one(p, config, stages, fmt, out_dir,
-                                       with_grids),
-                paths,
-            ))
     worst = EXIT_OK
-    for path, (code, text, err) in zip(paths, results):
+    for path in paths:
+        code, text, err = _analyze_one(path, config, stages, fmt, out_dir,
+                                       with_grids)
         if len(paths) > 1 and text:
             print(f"== {path} ==")
         if text:

@@ -19,10 +19,25 @@ record and must declare the canonical units exactly (datasets in other units
 are rejected, not converted); `#` starts a comment; blank lines are ignored.
 A capacitance value of `X` marks a probed-but-dead cell.  `meta` values may
 contain spaces; everything else is whitespace-delimited.  The JSON format
-carries the same payload as one object.
+carries the same payload as one object, one key per record field.
 
-Readers validate eagerly and raise DatasetError subclasses carrying the
-offending line number.  Writers are atomic: content goes to a temp file in
+Both readers only parse, raising DatasetFormatError for syntax and type
+faults, and hand every record to one checker (_Checker).  Its rules, the
+same for both formats:
+
+* die indices are ints in [0, MAX_GRID) (a JSON bool is not an int)
+* every other number is finite, and > 0 except a capacitance reading
+* v and i have equal length >= 2, and v strictly increases
+  (transport.sweep_arrays, which IVCurve and RampTrace apply too)
+* ramp voltages advance in constant steps of step_v
+  (breakdown.check_ramp_steps, which RampTrace applies too)
+* no two cap records share a die and an area
+* wafer rows/cols, when present, are integers in [1, MAX_GRID], and every
+  die lies inside them
+* wafer and meta entries survive the text format (_check_attrs)
+
+Errors carry the 1-based line number (text) or name the record, e.g.
+"ramp record 3" (JSON).  Writers are atomic: content goes to a temp file in
 the target directory which is then renamed over the destination.
 
 Floats are written with repr(), which round-trips exactly, so
@@ -35,11 +50,11 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .breakdown import RampTrace
+from .breakdown import RampTrace, check_ramp_steps
 from .capacitance import WaferMap
 from .errors import (
     DatasetError,
@@ -49,11 +64,12 @@ from .errors import (
 )
 from .geometry import JunctionGeometry
 from .resistance import ResistanceRecord
-from .transport import IVCurve
+from .transport import IVCurve, sweep_arrays
 
 __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
+    "MAX_GRID",
     "CANONICAL_UNITS",
     "CapRecord",
     "IVRecord",
@@ -76,6 +92,7 @@ __all__ = [
 
 FORMAT_NAME = "jjwafer-dataset"
 FORMAT_VERSION = 1
+MAX_GRID = 4096  # dies per wafer row or column
 
 CANONICAL_UNITS = {
     "area": "um2",
@@ -141,6 +158,117 @@ class DatasetFile:
         return self.wafer.get("label", "")
 
 
+# --------------------------------------------------------------------- schema
+
+# The record dataclasses are the schema: fields in text column order, field
+# names as JSON keys, and the annotation picks each field's kind, named by the
+# type a reader must produce; _Checker applies the ranges.
+_INDEX = "an integer"            # die row or col, in [0, MAX_GRID)
+_POSITIVE = "a number"           # finite and > 0
+_READING = "a number or null"    # finite; None marks a dead cell (`X` in text)
+_SERIES = "a list of numbers"    # v and i; text writes a count, then v:i pairs
+_KINDS = {"int": _INDEX, "float": _POSITIVE, "float | None": _READING,
+          "list[float]": _SERIES}
+_SCHEMA = {
+    kind: (cls, tuple((f.name, _KINDS[f.type]) for f in fields(cls)))
+    for kind, cls in (("cap", CapRecord), ("iv", IVRecord), ("res", ResRecordRow),
+                      ("ramp", RampRecord))
+}
+
+
+def _fault(cls: type[DatasetError], message: str, where) -> DatasetError:
+    """An error located by text line number, or by a label such as
+    "ramp record 3" (prefixed to the message, line None)."""
+    if isinstance(where, str):
+        return cls(f"{where}: {message}")
+    return cls(message, line=where)
+
+
+def _check_attrs(section: str, attrs: dict[str, str], where) -> None:
+    """wafer/meta entries must survive the text format, where `#` starts a
+    comment, `=` ends a key, whitespace splits wafer tokens, and a meta value
+    ends with its line, trailing whitespace stripped."""
+    for key, value in attrs.items():
+        if (not key or any(ch.isspace() or ch in "=#" for ch in key) or "#" in value
+                or (any(ch.isspace() for ch in value) if section == "wafer"
+                    else value != value.rstrip() or len(value.splitlines()) > 1)):
+            raise _fault(DatasetFormatError, f"{section} entry {key!r}={value!r}: keys "
+                         "hold no whitespace, '=' or '#', wafer values no whitespace "
+                         "or '#', meta values no '#', newline or trailing "
+                         "whitespace", where)
+
+
+def _grid_limits(wafer: dict[str, str], where) -> tuple[int | None, int | None]:
+    """Declared (rows, cols), None where undeclared."""
+    limits = wafer.get("rows"), wafer.get("cols")
+    for key, raw in zip(("rows", "cols"), limits):
+        # int() refuses strings of over 4300 digits
+        if raw is not None and not (raw.isdecimal() and len(raw) < 10
+                                    and 1 <= int(raw) <= MAX_GRID):
+            raise _fault(DatasetSchemaError, f"{key} must be an integer in "
+                         f"1..{MAX_GRID}, got {raw!r}", where)
+    return tuple(None if raw is None else int(raw) for raw in limits)
+
+
+def _check_extent(limits, top) -> None:
+    """Every die lies inside the declared grid; top holds the largest row and
+    col index seen, each with where it was seen."""
+    for axis, limit, (index, where) in zip(("row", "col"), limits, top):
+        if limit is not None and index >= limit:
+            raise _fault(DatasetSchemaError, f"die {axis} {index} lies outside "
+                         f"the declared grid of {limit} {axis}s", where)
+
+
+class _Checker:
+    """The schema's value rules, fed one dataset in file order by a reader."""
+
+    def __init__(self):
+        self.limits: tuple[int | None, int | None] = (None, None)
+        self.top = [(-1, None), (-1, None)]  # largest row and col, and where
+        self.cells: set[tuple[int, int, float]] = set()
+
+    def wafer(self, wafer: dict[str, str], where) -> None:
+        _check_attrs("wafer", wafer, where)
+        self.limits = _grid_limits(wafer, where)
+
+    def record(self, kind: str, rec, where) -> None:
+        for name, ftype in _SCHEMA[kind][1]:
+            x = getattr(rec, name)
+            if ftype is _INDEX:
+                if not 0 <= x < MAX_GRID:
+                    raise _fault(DatasetSchemaError, f"die indices must be >= 0 "
+                                 f"and < {MAX_GRID}, got {name} {x}", where)
+            elif ftype is _POSITIVE or ftype is _READING and x is not None:
+                if not math.isfinite(x):
+                    raise _fault(DatasetFormatError, f"{name} must be finite, "
+                                 f"got {x!r}", where)
+                if ftype is _POSITIVE and not x > 0.0:
+                    raise _fault(DatasetSchemaError, f"{name} must be positive, "
+                                 f"got {x!r}", where)
+        if kind == "res":
+            return
+        for axis, index in enumerate((rec.row, rec.col)):
+            if index > self.top[axis][0]:
+                self.top[axis] = (index, where)
+        if kind == "cap":
+            cell = (rec.row, rec.col, rec.area_um2)
+            if cell in self.cells:
+                raise _fault(DatasetSchemaError, f"duplicate cap record for die "
+                             f"({rec.row}, {rec.col}) at area {rec.area_um2!r}",
+                             where)
+            self.cells.add(cell)
+            return
+        try:
+            v, _ = sweep_arrays(rec.v, rec.i)
+            if kind == "ramp":
+                check_ramp_steps(v, rec.step_v)
+        except ValueError as exc:
+            raise _fault(DatasetSchemaError, str(exc), where) from None
+
+    def finish(self) -> None:
+        _check_extent(self.limits, self.top)
+
+
 # ---------------------------------------------------------------- text format
 
 def _fmt(x: float) -> str:
@@ -151,90 +279,80 @@ def _pairs(v: list[float], i: list[float]) -> str:
     return " ".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in zip(v, i))
 
 
+def _text_tokens(rec, schema):
+    for name, ftype in schema:
+        x = getattr(rec, name)
+        if ftype is _INDEX:
+            yield str(x)
+        elif ftype is not _SERIES:
+            yield "X" if x is None else _fmt(x)
+        elif name == "v":
+            yield f"{len(x)} {_pairs(x, rec.i)}"
+
+
 def dumps_text(ds: DatasetFile) -> str:
+    _check_attrs("wafer", ds.wafer, None)
+    _check_attrs("meta", ds.meta, None)
     lines = [f"format {FORMAT_NAME} {FORMAT_VERSION}"]
     lines.append("units " + " ".join(f"{k}={v}" for k, v in CANONICAL_UNITS.items()))
     if ds.wafer:
-        for key, value in ds.wafer.items():
-            _check_token(key, "wafer key")
-            _check_token(value, f"wafer value for {key!r}")
         lines.append("wafer " + " ".join(f"{k}={v}" for k, v in ds.wafer.items()))
-    for key, value in ds.meta.items():
-        _check_token(key, "meta key")
-        if "\n" in value:
-            raise DatasetFormatError(f"meta value for {key!r} contains a newline")
-        lines.append(f"meta {key}={value}")
-    for r in ds.cap:
-        val = "X" if r.c_ff is None else _fmt(r.c_ff)
-        lines.append(f"cap {r.row} {r.col} {_fmt(r.area_um2)} {val}")
-    for r in ds.iv:
-        lines.append(f"iv {r.row} {r.col} {_fmt(r.area_um2)} {len(r.v)} "
-                     + _pairs(r.v, r.i))
-    for r in ds.res:
-        lines.append(f"res {_fmt(r.w_top_um)} {_fmt(r.w_bot_um)} "
-                     f"{_fmt(r.h_um)} {_fmt(r.r_mohm)}")
-    for r in ds.ramp:
-        lines.append(f"ramp {r.row} {r.col} {_fmt(r.area_um2)} {_fmt(r.step_v)} "
-                     f"{_fmt(r.rate_v_per_s)} {len(r.v)} " + _pairs(r.v, r.i))
+    lines.extend(f"meta {key}={value}" for key, value in ds.meta.items())
+    for kind, (_, schema) in _SCHEMA.items():
+        for rec in getattr(ds, kind):
+            lines.append(" ".join([kind, *_text_tokens(rec, schema)]))
     return "\n".join(lines) + "\n"
 
 
-def _check_token(s: str, what: str) -> None:
-    if not s or any(ch.isspace() for ch in s) or "=" in s and what.endswith("key"):
-        raise DatasetFormatError(f"{what} {s!r} must be non-empty and contain no whitespace")
-
-
-def _parse_int(tok: str, what: str, line: int) -> int:
+def _parse(cast: type, tok: str, what: str, line: int):
     try:
-        return int(tok)
+        return cast(tok)
     except ValueError:
-        raise DatasetFormatError(f"{what} must be an integer, got {tok!r}", line=line) from None
+        kind = _INDEX if cast is int else _POSITIVE
+        raise DatasetFormatError(f"{what} must be {kind}, got {tok!r}", line=line) from None
 
 
-def _parse_float(tok: str, what: str, line: int, positive: bool = False) -> float:
-    try:
-        x = float(tok)
-    except ValueError:
-        raise DatasetFormatError(f"{what} must be a number, got {tok!r}", line=line) from None
-    if not math.isfinite(x):
-        raise DatasetFormatError(f"{what} must be finite, got {tok!r}", line=line)
-    if positive and not (x > 0.0):
-        raise DatasetSchemaError(f"{what} must be positive, got {x!r}", line=line)
-    return x
-
-
-def _parse_pairs(tokens: list[str], npts: int, line: int) -> tuple[list[float], list[float]]:
-    if len(tokens) != npts:
+def _parse_pairs(toks: list[str], npts: int, line: int) -> tuple[list[float], list[float]]:
+    if len(toks) != npts:
         raise DatasetFormatError(
-            f"expected {npts} v:i pairs, found {len(tokens)}", line=line
+            f"expected {npts} v:i pairs, found {len(toks)}", line=line
         )
-    v, i = [], []
-    for tok in tokens:
-        left, sep, right = tok.partition(":")
-        if not sep:
-            raise DatasetFormatError(f"malformed v:i pair {tok!r}", line=line)
-        v.append(_parse_float(left, "voltage", line))
-        i.append(_parse_float(right, "current", line))
-    for a, b in zip(v, v[1:]):
-        if not (b > a):
-            raise DatasetSchemaError("voltages must be strictly increasing", line=line)
-    return v, i
+    flat = ":".join(toks).split(":") if toks else []
+    # 2 * npts values with a colon in every token: exactly one colon in each
+    if len(flat) != 2 * npts or not all(":" in tok for tok in toks):
+        bad = next(tok for tok in toks if tok.count(":") != 1)
+        raise DatasetFormatError(f"malformed v:i pair {bad!r}", line=line)
+    try:
+        values = list(map(float, flat))
+    except ValueError:
+        values = [_parse(float, x, "vi"[k % 2], line) for k, x in enumerate(flat)]
+    return values[0::2], values[1::2]
 
 
-def _check_ramp_step(v: list[float], step: float, line: int) -> None:
-    diffs = np.diff(v)
-    if diffs.size and (np.abs(diffs - step) > 0.01 * step).any():
-        raise DatasetSchemaError(
-            f"ramp voltages must advance in constant steps of {step!r}", line=line
-        )
+def _text_record(kind: str, toks: list[str], line: int):
+    cls, schema = _SCHEMA[kind]
+    scalars = [f for f in schema if f[1] is not _SERIES]
+    n, values = len(scalars), {}
+    if n < len(schema) and len(toks) > n:  # a count, then v:i pairs
+        npts = _parse(int, toks[n], "point count", line)
+        values["v"], values["i"] = _parse_pairs(toks[n + 1:], npts, line)
+    elif n < len(schema):
+        raise DatasetFormatError(f"{kind} record too short", line=line)
+    elif len(toks) != n:
+        raise DatasetFormatError(f"{kind} record needs {n} fields, got {len(toks)}",
+                                 line=line)
+    for (name, ftype), tok in zip(scalars, toks):
+        values[name] = None if ftype is _READING and tok == "X" else \
+            _parse(int if ftype is _INDEX else float, tok, name, line)
+    return cls(**values)
 
 
 def loads_text(text: str) -> DatasetFile:
     ds = DatasetFile()
+    check = _Checker()
     seen_format = False
     seen_units = False
     seen_wafer = False
-    cap_cells: set[tuple[int, int, float]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -251,7 +369,7 @@ def loads_text(text: str) -> DatasetFile:
                 raise DatasetFormatError(
                     f"unrecognized format declaration {rest!r}", line=line_no
                 )
-            version = _parse_int(toks[1], "format version", line_no)
+            version = _parse(int, toks[1], "format version", line_no)
             if version != FORMAT_VERSION:
                 raise DatasetFormatError(
                     f"unsupported format version {version}", line=line_no
@@ -293,80 +411,28 @@ def loads_text(text: str) -> DatasetFile:
                     raise DatasetFormatError(f"malformed wafer attribute {tok!r}",
                                              line=line_no)
                 ds.wafer[key] = value
+            check.wafer(ds.wafer, line_no)
             seen_wafer = True
             continue
         if kind == "meta":
             key, sep, value = rest.partition("=")
-            if not sep or not key or " " in key:
+            if not sep:
                 raise DatasetFormatError(f"malformed meta line {rest!r}", line=line_no)
+            _check_attrs("meta", {key: value}, line_no)
             ds.meta[key] = value
             continue
         if not seen_units:
             raise DatasetUnitError(
                 "units line must precede the first data record", line=line_no
             )
-        toks = rest.split()
-        if kind == "cap":
-            if len(toks) != 4:
-                raise DatasetFormatError(
-                    f"cap record needs 4 fields, got {len(toks)}", line=line_no
-                )
-            row = _parse_int(toks[0], "row", line_no)
-            col = _parse_int(toks[1], "col", line_no)
-            if row < 0 or col < 0:
-                raise DatasetSchemaError("die indices must be >= 0", line=line_no)
-            area = _parse_float(toks[2], "area", line_no, positive=True)
-            c_ff = None if toks[3] == "X" else _parse_float(toks[3], "capacitance", line_no)
-            cell = (row, col, area)
-            if cell in cap_cells:
-                raise DatasetSchemaError(
-                    f"duplicate cap record for die ({row}, {col}) at area {area!r}",
-                    line=line_no,
-                )
-            cap_cells.add(cell)
-            ds.cap.append(CapRecord(row=row, col=col, area_um2=area, c_ff=c_ff))
-        elif kind == "iv":
-            if len(toks) < 4:
-                raise DatasetFormatError("iv record too short", line=line_no)
-            row = _parse_int(toks[0], "row", line_no)
-            col = _parse_int(toks[1], "col", line_no)
-            area = _parse_float(toks[2], "area", line_no, positive=True)
-            npts = _parse_int(toks[3], "point count", line_no)
-            if npts < 2:
-                raise DatasetSchemaError("iv record needs at least 2 points", line=line_no)
-            v, i = _parse_pairs(toks[4:], npts, line_no)
-            ds.iv.append(IVRecord(row=row, col=col, area_um2=area, v=v, i=i))
-        elif kind == "res":
-            if len(toks) != 4:
-                raise DatasetFormatError(
-                    f"res record needs 4 fields, got {len(toks)}", line=line_no
-                )
-            w_top = _parse_float(toks[0], "w_top", line_no, positive=True)
-            w_bot = _parse_float(toks[1], "w_bot", line_no, positive=True)
-            h = _parse_float(toks[2], "h", line_no, positive=True)
-            r_mohm = _parse_float(toks[3], "resistance", line_no, positive=True)
-            ds.res.append(ResRecordRow(w_top_um=w_top, w_bot_um=w_bot, h_um=h,
-                                       r_mohm=r_mohm))
-        elif kind == "ramp":
-            if len(toks) < 6:
-                raise DatasetFormatError("ramp record too short", line=line_no)
-            row = _parse_int(toks[0], "row", line_no)
-            col = _parse_int(toks[1], "col", line_no)
-            area = _parse_float(toks[2], "area", line_no, positive=True)
-            step = _parse_float(toks[3], "step", line_no, positive=True)
-            rate = _parse_float(toks[4], "rate", line_no, positive=True)
-            npts = _parse_int(toks[5], "point count", line_no)
-            if npts < 2:
-                raise DatasetSchemaError("ramp record needs at least 2 points",
-                                         line=line_no)
-            v, i = _parse_pairs(toks[6:], npts, line_no)
-            _check_ramp_step(v, step, line_no)
-            ds.ramp.append(RampRecord(row=row, col=col, area_um2=area, step_v=step,
-                                      rate_v_per_s=rate, v=v, i=i))
-        else:
+        if kind not in _SCHEMA:
             raise DatasetSchemaError(f"unknown record type {kind!r}", line=line_no)
+        rec = _text_record(kind, rest.split(), line_no)
+        check.record(kind, rec, line_no)
+        getattr(ds, kind).append(rec)
     if not seen_format:
         raise DatasetFormatError("empty dataset: missing format declaration", line=1)
+    check.finish()
     return ds
 
 
@@ -379,37 +445,35 @@ def dumps_json(ds: DatasetFile) -> str:
         "units": CANONICAL_UNITS,
         "wafer": ds.wafer,
         "meta": ds.meta,
-        "cap": [
-            {"row": r.row, "col": r.col, "area_um2": r.area_um2, "c_ff": r.c_ff}
-            for r in ds.cap
-        ],
-        "iv": [
-            {"row": r.row, "col": r.col, "area_um2": r.area_um2, "v": r.v, "i": r.i}
-            for r in ds.iv
-        ],
-        "res": [
-            {"w_top_um": r.w_top_um, "w_bot_um": r.w_bot_um, "h_um": r.h_um,
-             "r_mohm": r.r_mohm}
-            for r in ds.res
-        ],
-        "ramp": [
-            {"row": r.row, "col": r.col, "area_um2": r.area_um2, "step_v": r.step_v,
-             "rate_v_per_s": r.rate_v_per_s, "v": r.v, "i": r.i}
-            for r in ds.ramp
-        ],
     }
+    for kind, (_, schema) in _SCHEMA.items():
+        payload[kind] = [{name: getattr(rec, name) for name, _ in schema}
+                         for rec in getattr(ds, kind)]
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def _json_get(obj: dict, key: str, kinds, what: str):
-    if key not in obj:
-        raise DatasetSchemaError(f"{what}: missing key {key!r}")
-    value = obj[key]
-    if not isinstance(value, kinds):
-        raise DatasetSchemaError(f"{what}: key {key!r} has wrong type")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DatasetSchemaError(f"{what}: key {key!r} must be finite")
-    return value
+def _json_value(rec: dict, name: str, ftype: str, where: str):
+    if name not in rec:
+        raise DatasetSchemaError(f"{where}: missing key {name!r}")
+    x = rec[name]
+    try:
+        if ftype is _INDEX:
+            if type(x) is int:
+                return x
+        elif ftype is _SERIES:
+            if type(x) is list:
+                types = set(map(type, x))
+                if types <= {float}:
+                    return x
+                if types <= {int, float}:
+                    return list(map(float, x))
+        elif type(x) in (int, float):
+            return float(x)
+        elif ftype is _READING and x is None:
+            return None
+    except OverflowError:
+        pass
+    raise DatasetFormatError(f"{where}: {name} must be {ftype}, got {x!r}")
 
 
 def loads_json(text: str) -> DatasetFile:
@@ -429,88 +493,30 @@ def loads_json(text: str) -> DatasetFile:
             f"units must equal {CANONICAL_UNITS!r}; convert before ingest"
         )
     ds = DatasetFile()
-    wafer = payload.get("wafer", {})
-    meta = payload.get("meta", {})
-    if not isinstance(wafer, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in wafer.items()
-    ):
-        raise DatasetSchemaError("'wafer' must map strings to strings")
-    if not isinstance(meta, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
-    ):
-        raise DatasetSchemaError("'meta' must map strings to strings")
-    ds.wafer, ds.meta = dict(wafer), dict(meta)
-
-    num = (int, float)
-    cap_cells: set[tuple[int, int, float]] = set()
-    for idx, rec in enumerate(payload.get("cap", [])):
-        what = f"cap record {idx}"
-        row = _json_get(rec, "row", int, what)
-        col = _json_get(rec, "col", int, what)
-        area = float(_json_get(rec, "area_um2", num, what))
-        if row < 0 or col < 0 or area <= 0:
-            raise DatasetSchemaError(f"{what}: indices must be >= 0 and area positive")
-        c_ff = rec.get("c_ff")
-        if c_ff is not None:
-            c_ff = float(_json_get(rec, "c_ff", num, what))
-        if (row, col, area) in cap_cells:
-            raise DatasetSchemaError(f"{what}: duplicate cell")
-        cap_cells.add((row, col, area))
-        ds.cap.append(CapRecord(row=row, col=col, area_um2=area, c_ff=c_ff))
-    for idx, rec in enumerate(payload.get("iv", [])):
-        what = f"iv record {idx}"
-        v, i = _json_series(rec, what)
-        ds.iv.append(IVRecord(
-            row=_json_get(rec, "row", int, what),
-            col=_json_get(rec, "col", int, what),
-            area_um2=float(_json_get(rec, "area_um2", num, what)),
-            v=v, i=i,
-        ))
-    for idx, rec in enumerate(payload.get("res", [])):
-        what = f"res record {idx}"
-        vals = {}
-        for key in ("w_top_um", "w_bot_um", "h_um", "r_mohm"):
-            x = float(_json_get(rec, key, num, what))
-            if not (x > 0.0):
-                raise DatasetSchemaError(f"{what}: {key} must be positive")
-            vals[key] = x
-        ds.res.append(ResRecordRow(**vals))
-    for idx, rec in enumerate(payload.get("ramp", [])):
-        what = f"ramp record {idx}"
-        v, i = _json_series(rec, what)
-        step = float(_json_get(rec, "step_v", num, what))
-        if not (step > 0.0):
-            raise DatasetSchemaError(f"{what}: step_v must be positive")
-        try:
-            _check_ramp_step(v, step, 0)
-        except DatasetError as exc:
-            raise DatasetSchemaError(f"{what}: {exc.bare_message}") from None
-        ds.ramp.append(RampRecord(
-            row=_json_get(rec, "row", int, what),
-            col=_json_get(rec, "col", int, what),
-            area_um2=float(_json_get(rec, "area_um2", num, what)),
-            step_v=step,
-            rate_v_per_s=float(_json_get(rec, "rate_v_per_s", num, what)),
-            v=v, i=i,
-        ))
+    check = _Checker()
+    for section in ("wafer", "meta"):
+        attrs = payload.get(section, {})
+        if not isinstance(attrs, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
+        ):
+            raise DatasetSchemaError(f"{section!r} must map strings to strings")
+        setattr(ds, section, dict(attrs))
+    check.wafer(ds.wafer, "wafer")
+    _check_attrs("meta", ds.meta, "meta")
+    for kind, (cls, schema) in _SCHEMA.items():
+        records = payload.get(kind, [])
+        if not isinstance(records, list):
+            raise DatasetFormatError(f"{kind!r} must be a list of records")
+        for idx, raw in enumerate(records):
+            where = f"{kind} record {idx}"
+            if not isinstance(raw, dict):
+                raise DatasetFormatError(f"{where}: must be an object")
+            rec = cls(**{name: _json_value(raw, name, ftype, where)
+                         for name, ftype in schema})
+            check.record(kind, rec, where)
+            getattr(ds, kind).append(rec)
+    check.finish()
     return ds
-
-
-def _json_series(rec: dict, what: str) -> tuple[list[float], list[float]]:
-    v = _json_get(rec, "v", list, what)
-    i = _json_get(rec, "i", list, what)
-    if len(v) != len(i) or len(v) < 2:
-        raise DatasetSchemaError(f"{what}: v and i must have equal length >= 2")
-    try:
-        v = [float(x) for x in v]
-        i = [float(x) for x in i]
-    except (TypeError, ValueError):
-        raise DatasetSchemaError(f"{what}: v and i must be numeric") from None
-    if not all(map(math.isfinite, v)) or not all(map(math.isfinite, i)):
-        raise DatasetSchemaError(f"{what}: v and i must be finite")
-    if any(b <= a for a, b in zip(v, v[1:])):
-        raise DatasetSchemaError(f"{what}: voltages must be strictly increasing")
-    return v, i
 
 
 # ------------------------------------------------------------------------ io
@@ -562,25 +568,17 @@ def cap_areas(ds: DatasetFile) -> list[float]:
 
 
 def _grid_shape(ds: DatasetFile) -> tuple[int, int]:
-    rows = ds.wafer.get("rows")
-    cols = ds.wafer.get("cols")
-    cells = [(r.row, r.col) for r in ds.cap] + [(r.row, r.col) for r in ds.ramp]
-    if rows is not None and cols is not None:
-        try:
-            shape = int(rows), int(cols)
-        except ValueError:
-            raise DatasetSchemaError("wafer rows/cols must be integers") from None
-        if shape[0] < 1 or shape[1] < 1:
-            raise DatasetSchemaError("wafer rows/cols must be positive")
-        for r, c in cells:
-            if r >= shape[0] or c >= shape[1]:
-                raise DatasetSchemaError(
-                    f"die ({r}, {c}) lies outside the declared {shape} grid"
-                )
-        return shape
-    if not cells:
+    """Declared rows/cols, each inferred from the dies when undeclared."""
+    limits = _grid_limits(ds.wafer, "wafer")
+    dies = [*ds.cap, *ds.iv, *ds.ramp]
+    top = [(max((r.row for r in dies), default=-1), None),
+           (max((r.col for r in dies), default=-1), None)]
+    _check_extent(limits, top)
+    shape = tuple(index + 1 if limit is None else limit
+                  for limit, (index, _) in zip(limits, top))
+    if 0 in shape:
         raise DatasetSchemaError("cannot infer grid shape: no die-addressed records")
-    return max(r for r, _ in cells) + 1, max(c for _, c in cells) + 1
+    return shape
 
 
 def cap_wafer_map(ds: DatasetFile, area_um2: float) -> WaferMap:

@@ -285,14 +285,14 @@ def _stage_cap(ds, config, out, notes, errors) -> None:
     )
     try:
         t_ox = oxide_thickness_from_ca(reg.ca_ff_per_um2, config.eps_r)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         errors.append(("cap", f"thickness conversion failed: {exc}"))
         return
     out["t_ox_nm"] = t_ox
     out["t_ox_source"] = "capacitance"
 
 
-def _thickness_for(out, config, notes, stage) -> float | None:
+def _thickness_for(out, config) -> float | None:
     if config.t_ox_nm is not None:
         if out.get("t_ox_nm") is None:
             out["t_ox_nm"] = config.t_ox_nm
@@ -307,7 +307,7 @@ def _stage_iv(ds, config, out, notes, errors) -> None:
     if not curves:
         errors.append(("iv", "no I-V records"))
         return
-    t_ox = _thickness_for(out, config, notes, "iv")
+    t_ox = _thickness_for(out, config)
     if t_ox is None:
         errors.append(("iv", "no oxide thickness available: run the cap stage "
                              "or set t_ox_nm in the config"))
@@ -381,7 +381,7 @@ def _stage_bkd(ds, config, out, notes, errors) -> None:
     out.update(v_bt_v=mean, v_bt_sd_v=sd,
                rsd_v_bt_pct=100.0 * sd / mean if mean else None)
 
-    t_ox = _thickness_for(out, config, notes, "bkd")
+    t_ox = _thickness_for(out, config)
     if t_ox is None:
         notes.append("bkd: field analysis skipped, no oxide thickness available")
         return
@@ -396,10 +396,10 @@ def _stage_bkd(ds, config, out, notes, errors) -> None:
     fields = [field_strength(v, t_ox) for v in v_bts]
     try:
         w = weibull_transform(fields)
-    except AnalysisError as exc:
+        shape, _, r2 = fit_weibull_shape(w)
+    except (AnalysisError, ValueError) as exc:
         notes.append(f"bkd: distribution analysis skipped ({exc})")
         return
-    shape, _, r2 = fit_weibull_shape(w)
     out.update(weibull_shape=shape, weibull_r2=r2)
     try:
         knee = find_transition(w)

@@ -47,6 +47,7 @@ from .errors import UnderflowWarning
 __all__ = [
     "OxideModel",
     "IVCurve",
+    "sweep_arrays",
     "direct_tunneling_current",
     "mott_gurney_current",
     "power_law_current",
@@ -146,23 +147,30 @@ class IVCurve:
     label: str = ""
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        i = np.asarray(self.i, dtype=float)
+        v, i = sweep_arrays(self.v, self.i)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "i", i)
-        if v.ndim != 1 or i.ndim != 1 or v.shape != i.shape:
-            raise ValueError("v and i must be 1-D arrays of equal length")
-        if v.size < 2:
-            raise ValueError(f"an I-V curve needs at least 2 points, got {v.size}")
-        if not np.all(np.isfinite(v)) or not np.all(np.isfinite(i)):
-            raise ValueError("v and i must be finite")
-        if not np.all(np.diff(v) > 0.0):
-            raise ValueError("v must be strictly increasing")
         if self.area_um2 is not None and not (self.area_um2 > 0.0):
             raise ValueError(f"area_um2 must be positive, got {self.area_um2}")
 
     def __len__(self):
         return self.v.size
+
+
+def sweep_arrays(v, i) -> tuple[np.ndarray, np.ndarray]:
+    """v and i as float arrays, checked as every sweep and ramp must be:
+    1-D, equal length >= 2, finite, v strictly increasing (else ValueError)."""
+    v = np.asarray(v, dtype=float)
+    i = np.asarray(i, dtype=float)
+    if v.ndim != 1 or v.shape != i.shape:
+        raise ValueError("v and i must be 1-D arrays of equal length")
+    if v.size < 2:
+        raise ValueError(f"a sweep needs at least 2 points, got {v.size}")
+    if not (np.isfinite(v).all() and np.isfinite(i).all()):
+        raise ValueError("v and i must be finite")
+    if not (np.diff(v) > 0.0).all():
+        raise ValueError("v must be strictly increasing")
+    return v, i
 
 
 def _as_float_array(v):

@@ -191,6 +191,13 @@ def test_malformed_records_report_their_line():
         ("res 5.0 10.0 0.12\n", DatasetFormatError, "4 fields"),
         ("res 5.0 10.0 0.12 nan\n", DatasetFormatError, "finite"),
         ("spam 1 2 3\n", DatasetSchemaError, "unknown record"),
+        ("iv -1 0 25.0 2 0.01:1e-12 0.02:2e-12\n", DatasetSchemaError, ">= 0"),
+        ("cap 5 0 25.0 1.0\nwafer rows=2 cols=2\n", DatasetSchemaError,
+         "outside the declared"),
+        ("ramp 0 0 25.0 0.01 0.07 4 0.01:1e-12 0.01991:2e-12 0.02982:3e-12 "
+         "0.03991:4e-12\n", DatasetSchemaError, "constant steps"),
+        ("wafer rows=abc cols=3\n", DatasetSchemaError, "rows"),
+        ("wafer rows=3 cols=0\n", DatasetSchemaError, "cols"),
     ]
     for payload, err, pattern in cases:
         with pytest.raises(err, match=pattern) as exc_info:
@@ -241,6 +248,26 @@ def test_json_validation():
     iv = {"row": 0, "col": 0, "area_um2": 25.0, "v": [0.02, 0.01], "i": [1e-12, 2e-12]}
     with pytest.raises(DatasetSchemaError, match="strictly increasing"):
         loads_json(_payload(iv=[iv]))
+    with pytest.raises(DatasetSchemaError, match="iv record 0: die indices must be >= 0"):
+        loads_json(_payload(iv=[dict(iv, row=-1, v=[0.01, 0.02])]))
+    ramp.update(v=[0.01, 0.02, 0.03])
+    for key, value, err, pattern in [
+        ("row", -1, DatasetSchemaError, ">= 0"),
+        ("col", True, DatasetFormatError, "col must be an integer"),
+        ("area_um2", -5, DatasetSchemaError, "area_um2 must be positive"),
+        ("rate_v_per_s", -2, DatasetSchemaError, "rate_v_per_s must be positive"),
+    ]:
+        with pytest.raises(err, match=pattern):
+            loads_json(_payload(ramp=[dict(ramp, **{key: value})]))
+    with pytest.raises(DatasetSchemaError, match="ramp record 0: .*constant steps"):
+        loads_json(_payload(ramp=[dict(ramp, v=[0.01, 0.01991, 0.02982, 0.03991],
+                                       i=[1e-12, 2e-12, 3e-12, 4e-12])]))
+    with pytest.raises(DatasetSchemaError, match="cap record 0: .*outside the declared"):
+        loads_json(_payload(wafer={"rows": "2", "cols": "2"},
+                            cap=[dict(cell, row=5)]))
+    for rows in ("abc", "0"):
+        with pytest.raises(DatasetSchemaError, match="wafer: rows"):
+            loads_json(_payload(wafer={"rows": rows, "cols": "3"}))
 
 
 # --- materializers ---

@@ -265,11 +265,18 @@ def test_cli_multi_file_worst_code_wins(tmp_path, capsys):
     run_cli("simulate", "--out", good)
     bad = tmp_path / "bad.jjw"
     bad.write_text("format nothing 1\n")
+    outside = tmp_path / "outside.jjw"
+    outside.write_text("format jjwafer-dataset 1\n"
+                       "units area=um2 c=fF r=MOhm len=um v=V i=A step=V rate=V/s\n"
+                       "wafer rows=2 cols=2\n"
+                       "cap 5 0 25.0 1.0\n")
     capsys.readouterr()
-    assert run_cli("analyze", "cap", good, str(bad)) == EXIT_INVALID
+    assert run_cli("analyze", "cap", good, str(bad), str(outside)) == EXIT_INVALID
     captured = capsys.readouterr()
     assert f"== {good} ==" in captured.out
     assert "error" in captured.err
+    assert "outside the declared" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_report_writes_reports_and_grids(tmp_path, capsys):
