@@ -39,6 +39,6 @@ print("\n$ jjwafer simulate --preset etch20 --seed 5 --out", work / "w.jjw")
 main(["simulate", "--preset", "etch20", "--seed", "5", "--out", str(work / "w.jjw")])
 print("\n$ jjwafer analyze cap", work / "w.jjw")
 main(["analyze", "cap", str(work / "w.jjw")])
-print("\n$ jjwafer report", work / "w.jjw")
-main(["report", str(work / "w.jjw")])
+print("\n$ jjwafer report", work / "w.jjw", "--out", work)
+main(["report", str(work / "w.jjw"), "--out", str(work)])
 print("\nwrote:", *sorted(p.name for p in work.glob("w.*")), sep="\n  ")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fit import fit_line
 from .constants import um2_to_cm2
 from .errors import (
     InsufficientDataError,
@@ -170,18 +171,12 @@ def fit_weibull_shape(w: WeibullAnalysis) -> tuple[float, float, float]:
 
     For a single Weibull population y = shape * (ln e - ln scale).
     """
-    x = np.log(w.e)
-    xm, ym = x.mean(), w.y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    if sxx == 0.0:
+    line = fit_line(np.log(w.e), w.y)
+    if line.sxx == 0.0:
         raise InsufficientDataError("all fields equal; shape is undefined")
-    shape = float(np.sum((x - xm) * (w.y - ym)) / sxx)
-    intercept = ym - shape * xm
-    scale = math.exp(-intercept / shape) if shape != 0.0 else math.inf
-    sst = float(np.sum((w.y - ym) ** 2))
-    sse = float(np.sum((w.y - intercept - shape * x) ** 2))
-    r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
-    return shape, scale, r2
+    shape = line.slope
+    scale = math.exp(-line.intercept / shape) if shape != 0.0 else math.inf
+    return shape, scale, line.r2
 
 
 @dataclass(frozen=True)
@@ -202,17 +197,6 @@ class KneeFit:
     right_slope: float
     sse_two: float
     sse_one: float
-
-
-def _line_sse(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(sse, slope) of the least-squares line; vertical spread when x is flat."""
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    if sxx == 0.0:
-        return float(np.sum((y - ym) ** 2)), 0.0
-    b = float(np.sum((x - xm) * (y - ym)) / sxx)
-    a = ym - b * xm
-    return float(np.sum((y - a - b * x) ** 2)), b
 
 
 def find_transition(w: WeibullAnalysis) -> KneeFit:
@@ -244,15 +228,15 @@ def find_transition(w: WeibullAnalysis) -> KneeFit:
         raise InsufficientDataError(
             f"need at least {_MIN_TRANSITION_N} points, got {n}"
         )
-    sse_one, _ = _line_sse(e, y)
+    sse_one = fit_line(e, y).sse
 
     best = None
     for j in range(_MIN_SEGMENT - 1, n - _MIN_SEGMENT):
-        sse_lo, slope_lo = _line_sse(e[: j + 1], y[: j + 1])
-        sse_hi, slope_hi = _line_sse(e[j + 1 :], y[j + 1 :])
-        sse = sse_lo + sse_hi
+        lo = fit_line(e[: j + 1], y[: j + 1])
+        hi = fit_line(e[j + 1 :], y[j + 1 :])
+        sse = lo.sse + hi.sse
         if best is None or sse < best[0]:
-            best = (sse, j, slope_lo, slope_hi)
+            best = (sse, j, lo.slope, hi.slope)
 
     sse_two, j, slope_lo, slope_hi = best
     if sse_one == 0.0 or sse_two > (1.0 - _KNEE_GAIN) * sse_one:

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fit import fit_line
 from .constants import (
     CONST,
     ff_per_um2_to_f_per_m2,
-    f_per_m2_to_ff_per_um2,
     m_to_nm,
     nm_to_m,
 )
@@ -151,21 +151,15 @@ def fit_capacitance_per_area(points) -> CapacitanceRegression:
             f"need at least 3 distinct areas, got {np.unique(a).size}"
         )
     n = a.size
-    am, cm = a.mean(), c.mean()
-    sxx = float(np.sum((a - am) ** 2))
-    slope = float(np.sum((a - am) * (c - cm)) / sxx)
-    intercept = cm - slope * am
-    resid = c - intercept - slope * a
-    sse = float(np.sum(resid**2))
-    sst = float(np.sum((c - cm) ** 2))
-    sigma2 = sse / (n - 2)
+    line = fit_line(a, c)
+    sigma2 = line.sse / (n - 2)
     return CapacitanceRegression(
-        ca_ff_per_um2=slope,
-        ca_stderr=math.sqrt(sigma2 / sxx),
-        intercept_ff=intercept,
-        intercept_stderr=math.sqrt(sigma2 * (1.0 / n + am**2 / sxx)),
+        ca_ff_per_um2=line.slope,
+        ca_stderr=math.sqrt(sigma2 / line.sxx),
+        intercept_ff=line.intercept,
+        intercept_stderr=math.sqrt(sigma2 * (1.0 / n + line.xm**2 / line.sxx)),
         residual_stderr=math.sqrt(sigma2),
-        r2=1.0 if sst == 0.0 else 1.0 - sse / sst,
+        r2=line.r2,
         points=tuple(pts),
     )
 

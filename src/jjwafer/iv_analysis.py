@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from ._fit import Line, fit_line
 from .constants import CONST, DEFAULT_BETA, nm_to_m, um2_to_m2
 from .errors import (
     DegenerateDataError,
@@ -178,20 +179,12 @@ def _bridge_gaps(ok: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Simple OLS fit y = a + b x; returns (b, a, r_squared)."""
-    xm = x.mean()
-    ym = y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    if sxx == 0.0:
+def _line(x: np.ndarray, y: np.ndarray) -> Line:
+    """Least-squares line; a flat regressor is a DegenerateDataError."""
+    line = fit_line(x, y)
+    if line.sxx == 0.0:
         raise DegenerateDataError("regressor has zero variance")
-    sxy = float(np.sum((x - xm) * (y - ym)))
-    b = sxy / sxx
-    a = ym - b * xm
-    sst = float(np.sum((y - ym) ** 2))
-    sse = float(np.sum((y - a - b * x) ** 2))
-    r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
-    return b, a, r2
+    return line
 
 
 def segment_regimes(iv, slope_tol: float = 0.1, fn_r2_min: float = 0.995,
@@ -244,8 +237,8 @@ def segment_regimes(iv, slope_tol: float = 0.1, fn_r2_min: float = 0.995,
         x_all = 1.0 / v[:n_pre]
         y_all = np.log(i[:n_pre] / v[:n_pre] ** 2)
         for j in range(fn_min, n_pre - _MIN_RUN + 1):
-            b, _, r2 = _ols(x_all[j:], y_all[j:])
-            if b < 0.0 and r2 >= fn_r2_min:
+            line = _line(x_all[j:], y_all[j:])
+            if line.slope < 0.0 and line.r2 >= fn_r2_min:
                 fn_slice = slice(j, n_pre)
                 break
 
@@ -332,8 +325,7 @@ def fit_msclc_exponent(iv, window: tuple[float, float]) -> float:
         raise InsufficientDataError(
             f"only {int(sel.sum())} usable points in window {window}"
         )
-    b, _, _ = _ols(np.log(v[sel]), np.log(i[sel]))
-    return float(b)
+    return _line(np.log(v[sel]), np.log(i[sel])).slope
 
 
 def fit_fn_slope(iv, segmentation: RegimeSegmentation | None = None,
@@ -353,8 +345,8 @@ def fit_fn_slope(iv, segmentation: RegimeSegmentation | None = None,
         raise NoFNWindowError("segmentation has no field-emission window")
     v = segmentation.v[segmentation.fn_slice]
     i = segmentation.i[segmentation.fn_slice]
-    b, _, r2 = _ols(1.0 / v, np.log(i / v**2))
-    return float(b), float(r2)
+    line = _line(1.0 / v, np.log(i / v**2))
+    return line.slope, line.r2
 
 
 def barrier_height_from_fn_slope(slope_v: float, t_ox_nm: float) -> float:

@@ -31,6 +31,7 @@ import dataclasses
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,7 @@ from .constants import (
 )
 from .dataset import (
     DatasetFile,
+    atomic_write_text,
     cap_areas,
     cap_wafer_map,
     iv_curves,
@@ -385,13 +387,10 @@ def _stage_bkd(ds, config, out, notes, errors) -> None:
     if t_ox is None:
         notes.append("bkd: field analysis skipped, no oxide thickness available")
         return
-    areas = sorted({t.area_um2 for t in traces})
-    if len(areas) > 1:
-        notes.append(f"bkd: mixed ramp areas {areas}, defect density uses the "
-                     "most common one")
-    area_counts: dict[float, int] = {}
-    for t in traces:
-        area_counts[t.area_um2] = area_counts.get(t.area_um2, 0) + 1
+    area_counts = Counter(t.area_um2 for t in traces)
+    if len(area_counts) > 1:
+        notes.append(f"bkd: mixed ramp areas {sorted(area_counts)}, defect "
+                     "density uses the most common one")
     area = max(area_counts, key=lambda a: (area_counts[a], a))
     fields = [field_strength(v, t_ox) for v in v_bts]
     try:
@@ -526,8 +525,6 @@ def export_wafer_grid(wmap: WaferMap, path: str) -> None:
     Unprobed and dead cells are empty fields, so the file keeps the full grid
     shape.  Writes are atomic.
     """
-    from .dataset import atomic_write_text
-
     rows = []
     for r in range(wmap.shape[0]):
         cells = []

@@ -172,35 +172,29 @@ def fit_ras(series, ra: float) -> float:
     )
 
 
+def _largest_series(records, fixed: str, varied: str, n_distinct: int):
+    """Largest group of records sharing one `fixed` width (ties to the
+    smallest width) with at least n_distinct `varied` widths, else None."""
+    groups: dict[float, list] = {}
+    for rec in records:
+        groups.setdefault(getattr(rec.geometry, fixed), []).append(rec)
+    for width in sorted(groups, key=lambda w: (-len(groups[w]), w)):
+        group = groups[width]
+        if _distinct(getattr(rec.geometry, varied) for rec in group) >= n_distinct:
+            return group
+    return None
+
+
 def _pick_series(records):
     """Split records into the RA series (constant w_top, >=3 distinct w_bot)
     and the RA_S series (constant w_bot, varying w_top); falls back to all
     records for the sidewall step."""
-    by_wtop: dict[float, list] = {}
-    for rec in records:
-        by_wtop.setdefault(rec.geometry.w_top, []).append(rec)
-    ra_series = None
-    for w_top in sorted(by_wtop, key=lambda w: (-len(by_wtop[w]), w)):
-        group = by_wtop[w_top]
-        if _distinct(rec.geometry.w_bot for rec in group) >= 3:
-            ra_series = group
-            break
+    ra_series = _largest_series(records, "w_top", "w_bot", 3)
     if ra_series is None:
         raise InsufficientDataError(
             "no constant-w_top series with >= 3 distinct w_bot values"
         )
-
-    by_wbot: dict[float, list] = {}
-    for rec in records:
-        by_wbot.setdefault(rec.geometry.w_bot, []).append(rec)
-    ras_series = None
-    for w_bot in sorted(by_wbot, key=lambda w: (-len(by_wbot[w]), w)):
-        group = by_wbot[w_bot]
-        if _distinct(rec.geometry.w_top for rec in group) >= 2:
-            ras_series = group
-            break
-    if ras_series is None:
-        ras_series = list(records)
+    ras_series = _largest_series(records, "w_bot", "w_top", 2) or list(records)
     return ra_series, ras_series
 
 

@@ -26,14 +26,16 @@ Per-die quantities synthesized:
 Ground truth (per-die thickness, intrinsic fields, failure voltages, defect
 counts, the generating parameters) rides along in the dataset metadata as a
 JSON snapshot, so analysis results can always be compared with what produced
-them.
+them.  The generator writes dataset records; the in-memory views of
+SyntheticDataset come from the same materializers analyze() reads a file
+with.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,6 +52,10 @@ from .dataset import (
     IVRecord,
     RampRecord,
     ResRecordRow,
+    cap_wafer_map,
+    iv_curves,
+    ramp_traces,
+    resistance_records,
 )
 from .geometry import DEFAULT_BOTTOM_THICKNESS_UM, JunctionGeometry
 from .resistance import ResistanceRecord, junction_resistance
@@ -316,11 +322,12 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
             for idx, a in enumerate(areas):
                 c_f = spec.eps_r * CONST.eps0 * um2_to_m2(a) / nm_to_m(t_map[r, c])
                 cap_values[a][r, c] = f_to_ff(c_f) * noise[idx]
-    maps = {
-        a: WaferMap(values=cap_values[a], probed=probed.copy(), area_um2=a,
-                    label=spec.label, units="fF")
-        for a in areas
-    }
+    probed_rows, probed_cols = (idx.tolist() for idx in np.nonzero(probed))
+    cap = [
+        CapRecord(row=r, col=c, area_um2=a, c_ff=x if math.isfinite(x) else None)
+        for a in sorted(cap_values)
+        for r, c, x in zip(probed_rows, probed_cols, cap_values[a][probed].tolist())
+    ]
 
     # model shared by I-V synthesis; the field-emission prefactor is
     # calibrated once at the wafer-mean thickness
@@ -341,7 +348,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     )
     iv_dies = [(r, c) for _, r, c in order[: spec.n_iv_dies]]
     v_sweep = np.geomspace(spec.iv_v_min, spec.iv_v_max, spec.iv_points)
-    iv_curves = []
+    iv = []
     for r, c in iv_dies:
         die_model = OxideModel(
             t_ox=float(t_map[r, c]), k=spec.k_per_nm, eps_r=spec.eps_r,
@@ -350,8 +357,8 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
         i = composite_current(v_sweep, spec.iv_area_um2, die_model)
         i = i * _relative_noise(_stream(seed, r, c, _TAG_IV), spec.iv_noise_pct,
                                 v_sweep.size)
-        iv_curves.append(IVCurve(v=v_sweep.copy(), i=i, area_um2=spec.iv_area_um2,
-                                 die=(r, c), label=spec.label))
+        iv.append(IVRecord(row=r, col=c, area_um2=spec.iv_area_um2,
+                           v=v_sweep.tolist(), i=i.tolist()))
 
     # resistance series from the two-path model at wafer-mean thickness
     ra_true = spec.ra_mohm_um2
@@ -367,16 +374,17 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
               for w in spec.res_w_top_series_um]
     res_noise = _relative_noise(_wafer_stream(seed, _TAG_RES), spec.res_noise_pct,
                                 len(geoms))
-    res_records = [
-        ResistanceRecord(geometry=g, r_mohm=junction_resistance(g, ra_true, ras_true) * nz)
-        for g, nz in zip(geoms, res_noise)
+    res = [
+        ResRecordRow(w_top_um=g.w_top, w_bot_um=g.w_bot, h_um=g.h,
+                     r_mohm=junction_resistance(g, ra_true, ras_true) * nz)
+        for g, nz in zip(geoms, res_noise.tolist())
     ]
 
     # breakdown ramps: weakest link of intrinsic film and Poisson defects
     n_steps = int(round(spec.ramp_v_max / spec.ramp_step_v))
     v_ramp = spec.ramp_step_v * np.arange(1, n_steps + 1)
     area_cm2 = um2_to_cm2(spec.ramp_area_um2)
-    ramps = []
+    ramp = []
     e_int_map = np.full((rows, cols), np.nan)
     v_bt_map = np.full((rows, cols), np.nan)
     defect_count_map = np.full((rows, cols), -1, dtype=int)
@@ -413,9 +421,10 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
                 v_bt_map[r, c] = v_ramp[jump_at]
             i = i * _relative_noise(_stream(seed, r, c, _TAG_RAMP_NOISE),
                                     spec.iv_noise_pct, n_steps)
-            ramps.append(RampTrace(v=v_ramp.copy(), i=i, area_um2=spec.ramp_area_um2,
-                                   die=(r, c), step_v=spec.ramp_step_v,
-                                   rate_v_per_s=spec.ramp_rate_v_per_s))
+            ramp.append(RampRecord(row=r, col=c, area_um2=spec.ramp_area_um2,
+                                   step_v=spec.ramp_step_v,
+                                   rate_v_per_s=spec.ramp_rate_v_per_s,
+                                   v=v_ramp.tolist(), i=i.tolist()))
 
     spec_dict = asdict(spec)
     for key, value in spec_dict.items():
@@ -434,42 +443,6 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
         "dead_map": [[bool(x) for x in row] for row in dead],
     }
 
-    dataset = _to_dataset_file(spec, maps, iv_curves, ramps, res_records,
-                               ground_truth)
-    return SyntheticDataset(
-        spec=spec, maps=maps, iv_curves=iv_curves, ramps=ramps,
-        resistance_records=res_records, ground_truth=ground_truth,
-        dataset=dataset,
-    )
-
-
-def _to_dataset_file(spec, maps, iv_curves, ramps, res_records, ground_truth):
-    cap = []
-    for a in sorted(maps):
-        wmap = maps[a]
-        for r in range(spec.rows):
-            for c in range(spec.cols):
-                if not wmap.probed[r, c]:
-                    continue
-                val = wmap.values[r, c]
-                cap.append(CapRecord(row=r, col=c, area_um2=a,
-                                     c_ff=float(val) if np.isfinite(val) else None))
-    iv = [
-        IVRecord(row=cur.die[0], col=cur.die[1], area_um2=cur.area_um2,
-                 v=[float(x) for x in cur.v], i=[float(x) for x in cur.i])
-        for cur in iv_curves
-    ]
-    res = [
-        ResRecordRow(w_top_um=rec.geometry.w_top, w_bot_um=rec.geometry.w_bot,
-                     h_um=rec.geometry.h, r_mohm=rec.r_mohm)
-        for rec in res_records
-    ]
-    ramp = [
-        RampRecord(row=t.die[0], col=t.die[1], area_um2=t.area_um2,
-                   step_v=t.step_v, rate_v_per_s=t.rate_v_per_s,
-                   v=[float(x) for x in t.v], i=[float(x) for x in t.i])
-        for t in ramps
-    ]
     wafer = {
         "label": spec.label,
         "etch_s": repr(float(spec.etch_s)),
@@ -481,4 +454,13 @@ def _to_dataset_file(spec, maps, iv_curves, ramps, res_records, ground_truth):
         "seed": str(spec.seed),
         "ground_truth": json.dumps(ground_truth, sort_keys=True),
     }
-    return DatasetFile(wafer=wafer, meta=meta, cap=cap, iv=iv, res=res, ramp=ramp)
+    dataset = DatasetFile(wafer=wafer, meta=meta, cap=cap, iv=iv, res=res, ramp=ramp)
+    return SyntheticDataset(
+        spec=spec,
+        maps={a: cap_wafer_map(dataset, a) for a in cap_values},
+        iv_curves=iv_curves(dataset),
+        ramps=ramp_traces(dataset),
+        resistance_records=resistance_records(dataset),
+        ground_truth=ground_truth,
+        dataset=dataset,
+    )

@@ -106,6 +106,13 @@ def test_pipeline_on_defective_wafer():
     assert -math.log1p(-rep.p_knee) / 25e-8 == pytest.approx(
         rep.defect_density_cm2, rel=1e-12
     )
+    # a minority of ramps at another area: noted, density from the common one
+    for rec in ds.ramp[:3]:
+        rec.area_um2 = 50.0
+    mixed = analyze(ds)
+    assert mixed.notes == ("bkd: mixed ramp areas [25.0, 50.0], defect density "
+                           "uses the most common one",)
+    assert mixed.defect_density_cm2 == rep.defect_density_cm2
 
 
 def test_stage_subsets(clean_ds):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from jjwafer.breakdown import detect_breakdown
-from jjwafer.dataset import dumps_text
+from jjwafer.dataset import (
+    cap_wafer_map,
+    dumps_text,
+    iv_curves,
+    load_dataset,
+    ramp_traces,
+    resistance_records,
+    save_dataset,
+)
 from jjwafer.errors import NoBreakdownError
 from jjwafer.resistance import junction_resistance
 from jjwafer.synthetic import (
@@ -30,6 +38,32 @@ def test_reference_mask_probes_140_dies():
     assert len(ds.resistance_records) == 12
     for m in ds.maps.values():
         assert np.array_equal(m.probed, probed)
+
+
+def test_in_memory_views_equal_the_materialized_file(tmp_path):
+    # a repeated pad area still gives one cap record per die and area
+    spec = preset_spec("etch20", seed=2, cap_areas_um2=(25.0, 1.0, 25.0, 400.0))
+    gen = generate_wafer(spec)
+    path = str(tmp_path / "w.jjw")
+    save_dataset(gen.dataset, path, fmt="text")
+    ds = load_dataset(path)
+    n_probed = int(np.sum(gen.ground_truth["probed_map"]))
+    assert [rec.area_um2 for rec in ds.cap] == sorted([1.0, 25.0, 400.0] * n_probed)
+
+    assert list(gen.maps) == [25.0, 1.0, 400.0]
+    for area, m in gen.maps.items():
+        back = cap_wafer_map(ds, area)
+        assert np.array_equal(m.values, back.values, equal_nan=True)
+        assert np.array_equal(m.probed, back.probed)
+        assert (m.area_um2, m.label, m.units) == (back.area_um2, back.label, back.units)
+    for mine, back in zip(gen.iv_curves, iv_curves(ds), strict=True):
+        assert np.array_equal(mine.v, back.v) and np.array_equal(mine.i, back.i)
+        assert (mine.die, mine.area_um2, mine.label) == (back.die, back.area_um2, back.label)
+    for mine, back in zip(gen.ramps, ramp_traces(ds), strict=True):
+        assert np.array_equal(mine.v, back.v) and np.array_equal(mine.i, back.i)
+        assert ((mine.die, mine.area_um2, mine.step_v, mine.rate_v_per_s)
+                == (back.die, back.area_um2, back.step_v, back.rate_v_per_s))
+    assert gen.resistance_records == resistance_records(ds)
 
 
 def test_generation_is_byte_deterministic():
