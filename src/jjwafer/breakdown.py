@@ -41,12 +41,17 @@ __all__ = [
     "find_transition",
     "critical_defect_density",
     "check_ramp_steps",
+    "jump_steps",
     "DEFAULT_RAMP_STEP_V",
     "DEFAULT_RAMP_RATE_V_PER_S",
+    "DEFAULT_JUMP_FACTOR",
+    "DEFAULT_JUMP_FLOOR_A",
 ]
 
 DEFAULT_RAMP_STEP_V = 0.01
 DEFAULT_RAMP_RATE_V_PER_S = 0.07
+DEFAULT_JUMP_FACTOR = 10.0
+DEFAULT_JUMP_FLOOR_A = 1e-9  # 1 nA: noise around zero never counts as a jump
 
 _MIN_SEGMENT = 5        # knee fit: points required on each side
 _KNEE_GAIN = 0.20       # two-segment SSE must undercut the single line by this
@@ -108,12 +113,20 @@ class BreakdownRecord:
     hard: bool
 
 
-def detect_breakdown(trace: RampTrace, jump_factor: float = 10.0,
-                     floor: float = 1e-9) -> BreakdownRecord:
-    """First current jump in a ramp trace.
+def jump_steps(i: np.ndarray, jump_factor: float, floor: float) -> np.ndarray:
+    """Indices n >= 1 at which i[n] > jump_factor * max(i[n-1], floor).
 
-    The jump criterion at step n is i[n] > jump_factor * max(i[n-1], floor);
-    the floor (default 1 nA) keeps noise around zero from triggering.
+    The one jump rule, shared by ramp breakdown detection and I-V
+    segmentation.  A threshold that overflows to inf is simply never cleared.
+    """
+    with np.errstate(over="ignore"):
+        return np.nonzero(i[1:] > jump_factor * np.maximum(i[:-1], floor))[0] + 1
+
+
+def detect_breakdown(trace: RampTrace, jump_factor: float = DEFAULT_JUMP_FACTOR,
+                     floor: float = DEFAULT_JUMP_FLOOR_A) -> BreakdownRecord:
+    """First current jump in a ramp trace (see jump_steps).
+
     Raising jump_factor can only move the detection to a later step, never an
     earlier one.  Raises NoBreakdownError when no step qualifies.
     """
@@ -122,14 +135,15 @@ def detect_breakdown(trace: RampTrace, jump_factor: float = 10.0,
     if not (floor > 0.0):
         raise ValueError(f"floor must be positive, got {floor}")
     i = trace.i
-    for n in range(1, i.size):
-        threshold = jump_factor * max(i[n - 1], floor)
-        if i[n] > threshold:
-            hard = bool(np.all(i[n:] >= threshold))
-            return BreakdownRecord(v_bt=float(trace.v[n]), index=n, hard=hard)
-    raise NoBreakdownError(
-        f"no current jump above factor {jump_factor} within the ramp"
-    )
+    steps = jump_steps(i, jump_factor, floor)
+    if not steps.size:
+        raise NoBreakdownError(
+            f"no current jump above factor {jump_factor} within the ramp"
+        )
+    n = int(steps[0])
+    threshold = jump_factor * max(i[n - 1], floor)
+    hard = bool(np.all(i[n:] >= threshold))
+    return BreakdownRecord(v_bt=float(trace.v[n]), index=n, hard=hard)
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,10 @@ def _config_from_args(args) -> AnalysisConfig:
     base = {}
     if args.config:
         base = dataclasses.asdict(AnalysisConfig.from_json_file(args.config))
-    for name in ("eps_r", "beta", "m_rel", "slope_tol", "fn_r2_min",
-                 "jump_factor", "jump_floor_a", "t_ox_nm"):
-        value = getattr(args, name, None)
+    for field in dataclasses.fields(AnalysisConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            base[name] = value
+            base[field.name] = value
     return AnalysisConfig.from_mapping(base)
 
 
@@ -88,8 +87,6 @@ def _coerce_field(field: dataclasses.Field, raw: str):
         return None
     if hint.startswith("int"):
         return int(text)
-    if hint.startswith("bool"):
-        return text.lower() in ("1", "true", "yes")
     if hint.startswith("str"):
         return text
     return float(text)
@@ -186,17 +183,22 @@ def _stem(path: str) -> str:
 
 
 def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
-                 out_dir: str | None, with_grids: bool):
-    """One file: returns (exit_code, stdout_text, stderr_text)."""
+                 out_dir: str | None, with_grids: bool, header: bool) -> int:
+    """One file: prints its report (under a '== path ==' header if asked)
+    and any error, and returns its exit code."""
     try:
         ds = load_dataset(path)
     except DatasetError as exc:
-        return EXIT_INVALID, "", f"jjwafer: error: {path}: {exc}\n"
+        print(f"jjwafer: error: {path}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except OSError as exc:
-        return EXIT_IO, "", f"jjwafer: error: {path}: {exc}\n"
+        print(f"jjwafer: error: {path}: {exc}", file=sys.stderr)
+        return EXIT_IO
     report = analyze(ds, config=config, stages=stages)
     rendered = render_json(report) if fmt == "json" else render_text(report)
-    code = EXIT_ANALYSIS if report.stage_errors else EXIT_OK
+    if header:
+        print(f"== {path} ==")
+    sys.stdout.write(rendered)
     if out_dir is not None:
         ext = "json" if fmt == "json" else "txt"
         target = os.path.join(out_dir, f"{_stem(path)}.report.{ext}")
@@ -209,52 +211,29 @@ def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
                     )
                     export_wafer_grid(cap_wafer_map(ds, area), grid_path)
         except OSError as exc:
-            return EXIT_IO, rendered, f"jjwafer: error: cannot write under " \
-                                      f"{out_dir}: {exc}\n"
-    return code, rendered, ""
-
-
-def _run_many(paths, config, stages, fmt, out_dir, with_grids) -> int:
-    if out_dir is not None:
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            print(f"jjwafer: error: cannot create {out_dir}: {exc}",
+            print(f"jjwafer: error: cannot write under {out_dir}: {exc}",
                   file=sys.stderr)
             return EXIT_IO
-    worst = EXIT_OK
-    for path in paths:
-        code, text, err = _analyze_one(path, config, stages, fmt, out_dir,
-                                       with_grids)
-        if len(paths) > 1 and text:
-            print(f"== {path} ==")
-        if text:
-            sys.stdout.write(text)
-        if err:
-            sys.stderr.write(err)
-        worst = max(worst, code)
-    return worst
+    return EXIT_ANALYSIS if report.stage_errors else EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, stages, with_grids: bool) -> int:
+    """analyze and report: every file in turn; the worst exit code wins."""
     try:
         config = _config_from_args(args)
     except (ValueError, OSError) as exc:
         print(f"jjwafer: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    stages = STAGES if args.stage == "all" else (args.stage,)
-    return _run_many(args.paths, config, stages, args.format, args.out,
-                     with_grids=False)
-
-
-def _cmd_report(args) -> int:
-    try:
-        config = _config_from_args(args)
-    except (ValueError, OSError) as exc:
-        print(f"jjwafer: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    return _run_many(args.paths, config, STAGES, args.format, args.out,
-                     with_grids=True)
+    if args.out is not None:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"jjwafer: error: cannot create {args.out}: {exc}",
+                  file=sys.stderr)
+            return EXIT_IO
+    return max(_analyze_one(path, config, stages, args.format, args.out,
+                            with_grids, header=len(args.paths) > 1)
+               for path in args.paths)
 
 
 def main(argv=None) -> int:
@@ -268,11 +247,9 @@ def main(argv=None) -> int:
     if args.command == "simulate":
         return _cmd_simulate(args)
     if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_INVALID
+        stages = STAGES if args.stage == "all" else (args.stage,)
+        return _cmd_analyze(args, stages, with_grids=False)
+    return _cmd_analyze(args, STAGES, with_grids=True)
 
 
 if __name__ == "__main__":

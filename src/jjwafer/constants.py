@@ -23,17 +23,12 @@ __all__ = [
     "nm_to_m",
     "m_to_nm",
     "um_to_m",
-    "m_to_um",
     "um2_to_m2",
-    "m2_to_um2",
     "um2_to_cm2",
     "ev_to_j",
     "j_to_ev",
-    "ff_to_f",
     "f_to_ff",
-    "pf_to_ff",
     "ff_per_um2_to_f_per_m2",
-    "f_per_m2_to_ff_per_um2",
     "mohm_um2_to_ohm_m2",
     "ohm_m2_to_mohm_um2",
     "v_per_nm_to_mv_per_cm",
@@ -83,16 +78,8 @@ def um_to_m(x):
     return x * 1e-6
 
 
-def m_to_um(x):
-    return x * 1e6
-
-
 def um2_to_m2(x):
     return x * 1e-12
-
-
-def m2_to_um2(x):
-    return x * 1e12
 
 
 def um2_to_cm2(x):
@@ -107,25 +94,13 @@ def j_to_ev(x):
     return x / CONST.e
 
 
-def ff_to_f(x):
-    return x * 1e-15
-
-
 def f_to_ff(x):
     return x * 1e15
-
-
-def pf_to_ff(x):
-    return x * 1e3
 
 
 def ff_per_um2_to_f_per_m2(x):
     # 1 fF/um^2 = 1e-15 F / 1e-12 m^2
     return x * 1e-3
-
-
-def f_per_m2_to_ff_per_um2(x):
-    return x * 1e3
 
 
 def mohm_um2_to_ohm_m2(x):

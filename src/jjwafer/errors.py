@@ -2,7 +2,8 @@
 
 Analysis operations raise AnalysisError subclasses with descriptive names so
 pipeline code can collect them per stage.  File ingestion raises DatasetError
-subclasses that carry the offending line or record number.
+subclasses that locate the fault: by line number in a text file, by record
+in a JSON file.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class NoKneeError(AnalysisError):
 class DatasetError(Exception):
     """Base class for dataset file problems.
 
-    line is the 1-based text line number, or the 0-based record index for
-    structured files; None when not applicable.
+    line is the 1-based line number in a text file, else None; a JSON fault
+    names its record in the message instead (e.g. "ramp record 3: ...").
     """
 
     def __init__(self, message: str, line: int | None = None):

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._fit import Line, fit_line
+from .breakdown import DEFAULT_JUMP_FACTOR, DEFAULT_JUMP_FLOOR_A, jump_steps
 from .constants import CONST, DEFAULT_BETA, nm_to_m, um2_to_m2
 from .errors import (
     DegenerateDataError,
@@ -126,23 +127,20 @@ def _local_loglog_slopes(v: np.ndarray, i: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_jump(v: np.ndarray, i: np.ndarray, jump_factor: float,
-                floor: float) -> int | None:
+def _first_jump(v: np.ndarray, i: np.ndarray) -> int | None:
     """First index at which the current jump is a genuine discontinuity.
 
-    Candidate steps satisfy i[n] > jump_factor * max(i[n-1], floor).  Each
-    candidate with a successor point is vetoed when the following step keeps
-    at least _JUMP_SLOPE_VETO of the jump's log-log slope (the signature of a
-    smooth steep channel rather than a failure).  A candidate at the last
+    Candidate steps are breakdown.jump_steps at the default factor and floor.
+    Each candidate with a successor point is vetoed when the following step
+    keeps at least _JUMP_SLOPE_VETO of the jump's log-log slope (the signature
+    of a smooth steep channel rather than a failure).  A candidate at the last
     point has no successor; it is accepted only if its log step ratio exceeds
     the linear extrapolation of the preceding ratios by the jump factor.
     """
     x = np.log(v)
     y = np.log(i)
-    ln_jf = math.log(jump_factor)
-    for n in range(1, i.size):
-        if not (i[n] > jump_factor * max(i[n - 1], floor)):
-            continue
+    ln_jf = math.log(DEFAULT_JUMP_FACTOR)
+    for n in jump_steps(i, DEFAULT_JUMP_FACTOR, DEFAULT_JUMP_FLOOR_A).tolist():
         jump_slope = (y[n] - y[n - 1]) / (x[n] - x[n - 1])
         if n + 1 < i.size:
             g_post = (y[n + 1] - y[n]) / (x[n + 1] - x[n])
@@ -188,7 +186,6 @@ def _line(x: np.ndarray, y: np.ndarray) -> Line:
 
 
 def segment_regimes(iv, slope_tol: float = 0.1, fn_r2_min: float = 0.995,
-                    jump_factor: float = 10.0, jump_floor: float = 1e-9,
                     require_dt: bool = True) -> RegimeSegmentation:
     """Label each point of a forward sweep as DT, INTERMEDIATE, FN or BREAKDOWN.
 
@@ -208,7 +205,7 @@ def segment_regimes(iv, slope_tol: float = 0.1, fn_r2_min: float = 0.995,
     if np.all(i == i[0]):
         raise DegenerateDataError("all currents are equal")
 
-    bstart = _first_jump(v, i, jump_factor, jump_floor)
+    bstart = _first_jump(v, i)
     n_pre = bstart if bstart is not None else v.size
 
     labels = np.full(v.size, Regime.INTERMEDIATE, dtype=np.int64)

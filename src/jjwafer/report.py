@@ -37,6 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .breakdown import (
+    DEFAULT_JUMP_FACTOR,
+    DEFAULT_JUMP_FLOOR_A,
     critical_defect_density,
     detect_breakdown,
     find_transition,
@@ -101,8 +103,8 @@ class AnalysisConfig:
     m_rel: float = DEFAULT_M_REL
     slope_tol: float = 0.1
     fn_r2_min: float = 0.995
-    jump_factor: float = 10.0
-    jump_floor_a: float = 1e-9
+    jump_factor: float = DEFAULT_JUMP_FACTOR
+    jump_floor_a: float = DEFAULT_JUMP_FLOOR_A
     t_ox_nm: float | None = None  # overrides the capacitance-derived thickness
 
     def __post_init__(self):

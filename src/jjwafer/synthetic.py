@@ -28,7 +28,8 @@ counts, the generating parameters) rides along in the dataset metadata as a
 JSON snapshot, so analysis results can always be compared with what produced
 them.  The generator writes dataset records; the in-memory views of
 SyntheticDataset come from the same materializers analyze() reads a file
-with.
+with.  It walks the probed dies once, in row-major order: every die draws
+its thickness and dead flag, and a live die its capacitance cells and ramp.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .breakdown import (
 from .capacitance import EPS_R_REFERENCE, WaferMap
 from .constants import CONST, nm_to_m, um2_to_cm2, um2_to_m2, f_to_ff
 from .dataset import (
+    MAX_GRID,
     CapRecord,
     DatasetFile,
     IVRecord,
@@ -98,8 +100,8 @@ _DEFAULT_MASK_RADIUS = math.sqrt(42.5)
 
 
 def _stream(seed: int, row: int, col: int, tag: int) -> np.random.Generator:
-    if not (0 <= row < 4096 and 0 <= col < 4096):
-        raise ValueError("die indices must lie in [0, 4096)")
+    # the 4096 stride is part of the determinism contract; WaferSpec keeps
+    # rows and cols within MAX_GRID = 4096, so no two dies share a key
     key = np.array([seed, (row * 4096 + col) * 8 + tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -213,8 +215,10 @@ class WaferSpec:
     defect_field_rsd_pct: float = 15.0
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have at least one die")
+        if not (1 <= self.rows <= MAX_GRID and 1 <= self.cols <= MAX_GRID):
+            raise ValueError(f"rows and cols must lie in 1..{MAX_GRID}")
+        if len(set(self.cap_areas_um2)) != len(self.cap_areas_um2):
+            raise ValueError(f"cap_areas_um2 repeats an area: {self.cap_areas_um2}")
         if not (self.t_ox_nm > 0.0 and self.k_per_nm > 0.0):
             raise ValueError("t_ox and k must be positive")
         if not (0.0 <= self.dead_die_rate < 1.0):
@@ -296,37 +300,75 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     r2norm = dist2 / max(spec.mask_radius**2, 1.0)
     bow = r2norm - r2norm[probed].mean()
 
+    areas = tuple(float(a) for a in spec.cap_areas_um2)
+    eps_area = spec.eps_r * CONST.eps0 * um2_to_m2(np.array(areas))  # C = eps_area / t
+    n_steps = int(round(spec.ramp_v_max / spec.ramp_step_v))
+    v_ramp = spec.ramp_step_v * np.arange(1, n_steps + 1)
+    area_cm2 = um2_to_cm2(spec.ramp_area_um2)
+
     t_map = np.full((rows, cols), np.nan)
     dead = np.zeros((rows, cols), dtype=bool)
-    for r in range(rows):
-        for c in range(cols):
-            if not probed[r, c]:
-                continue
-            z = _stream(seed, r, c, _TAG_THICKNESS).normal()
-            jitter = 1.0 + spec.thickness_jitter_pct / 100.0 * z
-            t = spec.t_ox_nm * (1.0 + spec.thickness_gradient_pct / 100.0 * bow[r, c]) * jitter
-            t_map[r, c] = max(t, 0.05 * spec.t_ox_nm)
-            u = _stream(seed, r, c, _TAG_DEAD).uniform()
-            dead[r, c] = u < spec.dead_die_rate
-
-    # capacitance maps, one per probed area
-    areas = tuple(float(a) for a in spec.cap_areas_um2)
-    cap_values = {a: np.full((rows, cols), np.nan) for a in areas}
-    for r in range(rows):
-        for c in range(cols):
-            if not probed[r, c] or dead[r, c]:
-                continue
-            noise = _relative_noise(
-                _stream(seed, r, c, _TAG_CAP), spec.cap_noise_pct, len(areas)
-            )
-            for idx, a in enumerate(areas):
-                c_f = spec.eps_r * CONST.eps0 * um2_to_m2(a) / nm_to_m(t_map[r, c])
-                cap_values[a][r, c] = f_to_ff(c_f) * noise[idx]
+    cap_values = np.full((len(areas), rows, cols), np.nan)
+    e_int_map = np.full((rows, cols), np.nan)
+    v_bt_map = np.full((rows, cols), np.nan)
+    defect_count_map = np.full((rows, cols), -1, dtype=int)
+    ramp = []
     probed_rows, probed_cols = (idx.tolist() for idx in np.nonzero(probed))
+    for r, c in zip(probed_rows, probed_cols):
+        # thickness: radial bow and per-die jitter
+        z = _stream(seed, r, c, _TAG_THICKNESS).normal()
+        jitter = 1.0 + spec.thickness_jitter_pct / 100.0 * z
+        t = spec.t_ox_nm * (1.0 + spec.thickness_gradient_pct / 100.0 * bow[r, c]) * jitter
+        t = t_map[r, c] = float(max(t, 0.05 * spec.t_ox_nm))
+        dead[r, c] = _stream(seed, r, c, _TAG_DEAD).uniform() < spec.dead_die_rate
+        if dead[r, c]:
+            continue
+
+        # capacitance, one cell per probed area
+        noise = _relative_noise(
+            _stream(seed, r, c, _TAG_CAP), spec.cap_noise_pct, len(areas)
+        )
+        cap_values[:, r, c] = f_to_ff(eps_area / nm_to_m(t)) * noise
+
+        # breakdown ramp: weakest link of intrinsic film and Poisson defects
+        e_int = intrinsic_breakdown_field_sample(
+            _stream(seed, r, c, _TAG_INTRINSIC),
+            spec.intrinsic_field_mv_cm, spec.intrinsic_field_rsd_pct,
+        )
+        defect_rng = _stream(seed, r, c, _TAG_DEFECT)
+        n_def = int(defect_rng.poisson(spec.defect_density_cm2 * area_cm2))
+        e_fail = e_int
+        if n_def:
+            e_defects = intrinsic_breakdown_field_sample(
+                defect_rng, spec.defect_field_mv_cm,
+                spec.defect_field_rsd_pct, size=n_def,
+            )
+            e_fail = min(e_fail, float(e_defects.min()))
+        e_int_map[r, c] = e_int
+        defect_count_map[r, c] = n_def
+        v_fail = e_fail * t / 10.0  # MV/cm * nm -> V
+
+        die_model = OxideModel(
+            t_ox=t, k=spec.k_per_nm, eps_r=spec.eps_r,
+            beta=spec.beta, m_rel=spec.m_rel,
+        )
+        i = direct_tunneling_current(v_ramp, spec.ramp_area_um2, die_model)
+        jump_at = int(np.searchsorted(v_ramp, v_fail - 1e-12, side="left"))
+        if jump_at < n_steps:
+            i = i.copy()
+            i[jump_at:] = i[jump_at:] * _POST_JUMP_GAIN + _POST_JUMP_FLOOR_A
+            v_bt_map[r, c] = v_ramp[jump_at]
+        i = i * _relative_noise(_stream(seed, r, c, _TAG_RAMP_NOISE),
+                                spec.iv_noise_pct, n_steps)
+        ramp.append(RampRecord(row=r, col=c, area_um2=spec.ramp_area_um2,
+                               step_v=spec.ramp_step_v,
+                               rate_v_per_s=spec.ramp_rate_v_per_s,
+                               v=v_ramp.tolist(), i=i.tolist()))
+
     cap = [
-        CapRecord(row=r, col=c, area_um2=a, c_ff=x if math.isfinite(x) else None)
-        for a in sorted(cap_values)
-        for r, c, x in zip(probed_rows, probed_cols, cap_values[a][probed].tolist())
+        CapRecord(row=r, col=c, area_um2=areas[k], c_ff=x if math.isfinite(x) else None)
+        for k in np.argsort(areas)
+        for r, c, x in zip(probed_rows, probed_cols, cap_values[k][probed].tolist())
     ]
 
     # model shared by I-V synthesis; the field-emission prefactor is
@@ -341,15 +383,12 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     else:
         fn_scale = 0.0
 
-    # I-V sweeps on the dies nearest the center
-    order = sorted(
-        ((dist2[r, c], r, c) for r in range(rows) for c in range(cols)
-         if probed[r, c] and not dead[r, c])
-    )
-    iv_dies = [(r, c) for _, r, c in order[: spec.n_iv_dies]]
+    # I-V sweeps on the live dies nearest the center
+    live = probed & ~dead
+    order = sorted(zip(dist2[live].tolist(), *(idx.tolist() for idx in np.nonzero(live))))
     v_sweep = np.geomspace(spec.iv_v_min, spec.iv_v_max, spec.iv_points)
     iv = []
-    for r, c in iv_dies:
+    for _, r, c in order[: spec.n_iv_dies]:
         die_model = OxideModel(
             t_ox=float(t_map[r, c]), k=spec.k_per_nm, eps_r=spec.eps_r,
             beta=spec.beta, m_rel=spec.m_rel, fn_scale=fn_scale,
@@ -379,52 +418,6 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
                      r_mohm=junction_resistance(g, ra_true, ras_true) * nz)
         for g, nz in zip(geoms, res_noise.tolist())
     ]
-
-    # breakdown ramps: weakest link of intrinsic film and Poisson defects
-    n_steps = int(round(spec.ramp_v_max / spec.ramp_step_v))
-    v_ramp = spec.ramp_step_v * np.arange(1, n_steps + 1)
-    area_cm2 = um2_to_cm2(spec.ramp_area_um2)
-    ramp = []
-    e_int_map = np.full((rows, cols), np.nan)
-    v_bt_map = np.full((rows, cols), np.nan)
-    defect_count_map = np.full((rows, cols), -1, dtype=int)
-    for r in range(rows):
-        for c in range(cols):
-            if not probed[r, c] or dead[r, c]:
-                continue
-            e_int = intrinsic_breakdown_field_sample(
-                _stream(seed, r, c, _TAG_INTRINSIC),
-                spec.intrinsic_field_mv_cm, spec.intrinsic_field_rsd_pct,
-            )
-            defect_rng = _stream(seed, r, c, _TAG_DEFECT)
-            n_def = int(defect_rng.poisson(spec.defect_density_cm2 * area_cm2))
-            e_fail = e_int
-            if n_def:
-                e_defects = intrinsic_breakdown_field_sample(
-                    defect_rng, spec.defect_field_mv_cm,
-                    spec.defect_field_rsd_pct, size=n_def,
-                )
-                e_fail = min(e_fail, float(e_defects.min()))
-            e_int_map[r, c] = e_int
-            defect_count_map[r, c] = n_def
-            v_fail = e_fail * t_map[r, c] / 10.0  # MV/cm * nm -> V
-
-            die_model = OxideModel(
-                t_ox=float(t_map[r, c]), k=spec.k_per_nm, eps_r=spec.eps_r,
-                beta=spec.beta, m_rel=spec.m_rel,
-            )
-            i = direct_tunneling_current(v_ramp, spec.ramp_area_um2, die_model)
-            jump_at = int(np.searchsorted(v_ramp, v_fail - 1e-12, side="left"))
-            if jump_at < n_steps:
-                i = i.copy()
-                i[jump_at:] = i[jump_at:] * _POST_JUMP_GAIN + _POST_JUMP_FLOOR_A
-                v_bt_map[r, c] = v_ramp[jump_at]
-            i = i * _relative_noise(_stream(seed, r, c, _TAG_RAMP_NOISE),
-                                    spec.iv_noise_pct, n_steps)
-            ramp.append(RampRecord(row=r, col=c, area_um2=spec.ramp_area_um2,
-                                   step_v=spec.ramp_step_v,
-                                   rate_v_per_s=spec.ramp_rate_v_per_s,
-                                   v=v_ramp.tolist(), i=i.tolist()))
 
     spec_dict = asdict(spec)
     for key, value in spec_dict.items():
@@ -457,7 +450,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     dataset = DatasetFile(wafer=wafer, meta=meta, cap=cap, iv=iv, res=res, ramp=ramp)
     return SyntheticDataset(
         spec=spec,
-        maps={a: cap_wafer_map(dataset, a) for a in cap_values},
+        maps={a: cap_wafer_map(dataset, a) for a in areas},
         iv_curves=iv_curves(dataset),
         ramps=ramp_traces(dataset),
         resistance_records=resistance_records(dataset),

@@ -1,5 +1,7 @@
 """Ramp breakdown detection, Weibull statistics and the two-population knee."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,6 +14,7 @@ from jjwafer.breakdown import (
     detect_breakdown,
     find_transition,
     fit_weibull_shape,
+    jump_steps,
     weibull_transform,
 )
 from jjwafer.errors import InsufficientDataError, NoBreakdownError, NoKneeError
@@ -75,6 +78,16 @@ def test_jump_factor_can_only_delay_detection():
     indices = [detect_breakdown(trace, jump_factor=jf).index for jf in (5.0, 10.0, 50.0)]
     assert indices == [10, 10, 20]
     assert indices == sorted(indices)
+
+
+def test_jump_steps_match_the_scalar_rule():
+    rng = np.random.default_rng(5)
+    for i in (10.0 ** rng.uniform(-13, -3, 60), np.array([1e-12, 1e-3, 1e308, 1e308])):
+        x = i.tolist()
+        expected = [n for n in range(1, len(x)) if x[n] > 10.0 * max(x[n - 1], 1e-9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing threshold is no jump
+            assert jump_steps(i, 10.0, 1e-9).tolist() == expected
 
 
 def test_detect_breakdown_parameter_validation():

@@ -5,6 +5,8 @@
 * whatever either writer writes reads back equal through its reader, and
   through the other codec after that
 * analyze() and both renderers run on every dataset a reader accepted
+* one CLI run over good files and near misses reports each file as if it
+  ran alone, and exits with the worst file's code
 """
 
 import math
@@ -12,6 +14,7 @@ from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from jjwafer.cli import main
 from jjwafer.dataset import (
     MAX_GRID,
     CapRecord,
@@ -177,13 +180,16 @@ def _broken(ds, miss):
     return broken
 
 
+# a dataset of one record per kind, which the near misses break
+TINY = DatasetFile(wafer={"label": "w"}, meta={"note": "x"}, cap=[_cap()], iv=[_iv()],
+                   res=[_res()], ramp=[_ramp()])
+
+
 def test_both_codecs_refuse_every_near_miss():
-    ds = DatasetFile(wafer={"label": "w"}, meta={"note": "x"}, cap=[_cap()], iv=[_iv()],
-                     res=[_res()], ramp=[_ramp()])
-    assert _through(TEXT, ds) == _through(JSON, ds) == ds
+    assert _through(TEXT, TINY) == _through(JSON, TINY) == TINY
     for miss in NEAR_MISSES:
-        assert _through(TEXT, _broken(ds, miss)) is None, miss
-        assert _through(JSON, _broken(ds, miss)) is None, miss
+        assert _through(TEXT, _broken(TINY, miss)) is None, miss
+        assert _through(JSON, _broken(TINY, miss)) is None, miss
 
 
 @PROPERTY
@@ -229,3 +235,35 @@ def test_analyze_runs_on_every_accepted_dataset(ds, t_ox_nm):
     report = analyze(loads_text(dumps_text(ds)), config=AnalysisConfig(t_ox_nm=t_ox_nm))
     render_text(report)
     render_json(report)
+
+
+def test_cli_reports_each_file_as_if_it_ran_alone(tmp_path, capsys):
+    # near misses go out through the JSON writer, which writes any record;
+    # WAFER analyzes cleanly (exit 0), TINY with stage errors (exit 2)
+    bad = []
+    for k, miss in enumerate(sorted(NEAR_MISSES)):
+        path = tmp_path / f"miss{k}.json"
+        path.write_text(dumps_json(_broken(TINY, miss)))
+        bad.append(str(path))
+    good = {str(tmp_path / "wafer.jjw"): WAFER, str(tmp_path / "tiny.jjw"): TINY}
+    for path, ds in good.items():
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(dumps_text(ds))
+    wafer, tiny = good
+    paths = bad[:10] + [wafer] + bad[10:] + [tiny]
+
+    alone = {}
+    for path in paths:
+        code = main(["analyze", "all", path])
+        alone[path] = (code, capsys.readouterr())
+    assert {alone[p][0] for p in bad} == {1}
+    assert (alone[wafer][0], alone[tiny][0]) == (0, 2)
+
+    assert main(["analyze", "all", *paths]) == max(code for code, _ in alone.values())
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"== {p} ==\n{alone[p][1].out}" for p in good)
+    assert captured.err == "".join(alone[p][1].err for p in bad)
+    for path in bad:
+        err = alone[path][1].err
+        assert err.startswith(f"jjwafer: error: {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -1,5 +1,6 @@
 """Determinism and internal consistency of the synthetic wafer generator."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -41,8 +42,8 @@ def test_reference_mask_probes_140_dies():
 
 
 def test_in_memory_views_equal_the_materialized_file(tmp_path):
-    # a repeated pad area still gives one cap record per die and area
-    spec = preset_spec("etch20", seed=2, cap_areas_um2=(25.0, 1.0, 25.0, 400.0))
+    # unsorted pad areas: the records come out in ascending area order
+    spec = preset_spec("etch20", seed=2, cap_areas_um2=(25.0, 1.0, 400.0))
     gen = generate_wafer(spec)
     path = str(tmp_path / "w.jjw")
     save_dataset(gen.dataset, path, fmt="text")
@@ -70,6 +71,21 @@ def test_generation_is_byte_deterministic():
     a = dumps_text(generate_wafer(preset_spec("ref", 7)).dataset)
     b = dumps_text(generate_wafer(preset_spec("ref", 7)).dataset)
     assert a == b
+
+
+# SHA-256 of dumps_text per (preset, seed): generated datasets are
+# byte-identical per seed, whatever the generator's internals
+GOLDEN_TEXT_SHA256 = {
+    ("ref", 0): "3f8a11e1376c943453fb0711eb6bed783579195caa817079bf1f5ff655df657f",
+    ("etch30", 3): "b14c032e5d6e1d437dbbc4e8fa2b5f963288766f4707b13e72972d04ed702aa5",
+}
+
+
+@pytest.mark.parametrize("preset, seed", sorted(GOLDEN_TEXT_SHA256))
+def test_generated_text_matches_its_golden_digest(preset, seed):
+    text = dumps_text(generate_wafer(preset_spec(preset, seed)).dataset)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_TEXT_SHA256[preset, seed]
 
 
 def test_die_draws_do_not_depend_on_grid_size():
@@ -189,6 +205,10 @@ def test_presets():
 def test_spec_validation():
     with pytest.raises(ValueError):
         WaferSpec(rows=0)
+    with pytest.raises(ValueError, match="1..4096"):
+        WaferSpec(rows=4097)
+    with pytest.raises(ValueError, match="repeats an area"):
+        WaferSpec(cap_areas_um2=(25.0, 1.0, 25.0, 400.0))
     with pytest.raises(ValueError):
         WaferSpec(t_ox_nm=0.0)
     with pytest.raises(ValueError):
