@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants as _sc
-
 __all__ = [
     "PhysicalConstants",
     "CONST",
@@ -40,7 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA values used throughout, plus the field-emission coefficient.
+    """CODATA 2022 values used throughout, plus the field-emission coefficient.
+
+    e and hbar follow from the exact SI 2019 values of e and h (hbar is
+    h / 2 pi rounded to a double); m_e and eps0 are the CODATA 2022
+    recommended values.
 
     e      : elementary charge [C]
     hbar   : reduced Planck constant [J s]
@@ -49,10 +51,10 @@ class PhysicalConstants:
     b_fn   : field-emission exponent coefficient [eV^-3/2 V/nm]
     """
 
-    e: float = _sc.e
-    hbar: float = _sc.hbar
-    m_e: float = _sc.m_e
-    eps0: float = _sc.epsilon_0
+    e: float = 1.602176634e-19
+    hbar: float = 1.0545718176461565e-34
+    m_e: float = 9.1093837139e-31
+    eps0: float = 8.8541878188e-12
     b_fn: float = 6.83
 
 

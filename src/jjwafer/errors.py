@@ -51,7 +51,7 @@ class NoRootError(AnalysisError):
 
 
 class NoBracketError(AnalysisError):
-    """Scalar fit residual is monotone over the search bracket."""
+    """A fitted area-resistance left the range in which the data constrain it."""
 
 
 class NoBreakdownError(AnalysisError):

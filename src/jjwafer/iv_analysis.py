@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._fit import Line, fit_line
 from .breakdown import DEFAULT_JUMP_FACTOR, DEFAULT_JUMP_FLOOR_A, jump_steps
@@ -264,8 +263,13 @@ def fit_k_from_dt(iv, t_ox_nm: float, area_um2: float | None = None,
 
     Fits the through-origin conductance G over the ohmic window, then solves
     G = alpha * k * A * exp(-k * t_ox) / t_ox for k on the decaying branch
-    k > 1/t_ox (the physical branch for thicknesses of a few nm) by bracketed
-    root finding to |dk| < 1e-6 1/nm.
+    k > 1/t_ox (the physical branch for thicknesses of a few nm).  In logs
+    that is ln k - k * t_ox = c, whose branch root is -W_-1(-t_ox e^c) / t_ox
+    (the lower Lambert W branch; Corless et al., Adv. Comput. Math. 5,
+    1996).  It is found by Newton's method from the
+    upper end of a doubling bracket: the log excess is concave and falls on
+    the branch, so the iterates fall monotonically onto the root and stop
+    when a step no longer lowers k, i.e. to machine precision.
 
     Raises NoRootError when G exceeds the largest conductance the model can
     reach at this thickness (the branch maximum at k = 1/t_ox).
@@ -302,7 +306,15 @@ def fit_k_from_dt(iv, t_ox_nm: float, area_um2: float | None = None,
         k_hi *= 2.0
         if k_hi > 1e6:
             raise NoRootError("no finite bracket for k")
-    return float(brentq(log_excess, k_peak, k_hi, xtol=1e-6))
+    k = k_hi
+    while True:
+        f = log_excess(k)
+        if f >= 0.0:
+            return k
+        k_next = k - f / (1.0 / k - t_ox_nm)
+        if not (k_peak <= k_next < k):
+            return k
+        k = k_next
 
 
 def fit_msclc_exponent(iv, window: tuple[float, float]) -> float:

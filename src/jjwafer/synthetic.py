@@ -221,6 +221,8 @@ class WaferSpec:
             raise ValueError(f"cap_areas_um2 repeats an area: {self.cap_areas_um2}")
         if not (self.t_ox_nm > 0.0 and self.k_per_nm > 0.0):
             raise ValueError("t_ox and k must be positive")
+        if self.n_iv_dies < 0:
+            raise ValueError(f"n_iv_dies must be >= 0, got {self.n_iv_dies}")
         if not (0.0 <= self.dead_die_rate < 1.0):
             raise ValueError(f"dead_die_rate must lie in [0, 1), got {self.dead_die_rate}")
         if self.thickness_jitter_pct < 0 or self.cap_noise_pct < 0 \

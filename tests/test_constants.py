@@ -22,6 +22,10 @@ def test_physical_constants_are_si_2019_values():
     # hbar = h / 2pi with h exact
     assert CONST.hbar == pytest.approx(6.62607015e-34 / (2 * math.pi), rel=1e-12)
     assert CONST.b_fn == 6.83
+    # exact doubles, so no derived quantity moves by a rounding of these
+    assert CONST.eps0 == 8.8541878188e-12
+    assert CONST.m_e == 9.1093837139e-31
+    assert CONST.hbar == 1.0545718176461565e-34
 
 
 def test_defaults():

@@ -211,6 +211,8 @@ def test_spec_validation():
         WaferSpec(cap_areas_um2=(25.0, 1.0, 25.0, 400.0))
     with pytest.raises(ValueError):
         WaferSpec(t_ox_nm=0.0)
+    with pytest.raises(ValueError, match="n_iv_dies"):
+        WaferSpec(n_iv_dies=-1)
     with pytest.raises(ValueError):
         WaferSpec(dead_die_rate=1.0)
     with pytest.raises(ValueError):
