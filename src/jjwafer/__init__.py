@@ -56,7 +56,6 @@ from .errors import (
     DatasetUnitError,
     DegenerateDataError,
     InsufficientDataError,
-    NoBracketError,
     NoBreakdownError,
     NoDTWindowError,
     NoFNWindowError,
@@ -88,8 +87,6 @@ from .resistance import (
     AreaResistances,
     ResistanceRecord,
     decompose_resistances,
-    fit_ra,
-    fit_ras,
     junction_resistance,
     plate_resistance,
 )
@@ -129,7 +126,7 @@ __all__ = [
     "JunctionGeometry",
     # errors
     "AnalysisError", "InsufficientDataError", "DegenerateDataError",
-    "NoDTWindowError", "NoFNWindowError", "NoRootError", "NoBracketError",
+    "NoDTWindowError", "NoFNWindowError", "NoRootError",
     "NoBreakdownError", "NoKneeError", "DatasetError", "DatasetFormatError",
     "DatasetSchemaError", "DatasetUnitError", "UnderflowWarning",
     # transport models
@@ -147,7 +144,7 @@ __all__ = [
     "dielectric_constant_from", "EPS_R_REFERENCE",
     # resistance
     "ResistanceRecord", "AreaResistances", "junction_resistance",
-    "plate_resistance", "fit_ra", "fit_ras", "decompose_resistances",
+    "plate_resistance", "decompose_resistances",
     # breakdown
     "RampTrace", "BreakdownRecord", "WeibullAnalysis", "KneeFit",
     "detect_breakdown", "weibull_transform", "fit_weibull_shape",

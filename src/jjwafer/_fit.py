@@ -1,7 +1,7 @@
 """The ordinary least-squares line shared by the extraction stages: the
 C-vs-A regression, the Weibull shape line, the knee scan and the
-field-emission window.  The through-origin fits of fit_ra and fit_k_from_dt
-are one expression each and stay inline.
+field-emission window.  The through-origin fit of fit_k_from_dt is one
+expression and stays inline.
 """
 
 from __future__ import annotations

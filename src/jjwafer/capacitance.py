@@ -101,21 +101,29 @@ def wafer_statistics(wmap: WaferMap) -> WaferStats:
     """Mean, sample standard deviation, relative spread and yield of a map.
 
     rsd_pct = 100 * sd / mean (sample sd, ddof=1); yield_pct counts valid
-    against probed cells.  Needs at least 2 valid cells.
+    against probed cells.  Needs at least 2 valid cells.  A zero mean, or a
+    mean, sd or rsd_pct beyond the float range, raises DegenerateDataError.
     """
     vals = wmap.valid_values()
     if vals.size < 2:
         raise InsufficientDataError(
             f"need at least 2 valid cells, map has {vals.size}"
         )
-    mean = float(vals.mean())
-    sd = float(vals.std(ddof=1))
-    if mean == 0.0:
-        raise DegenerateDataError("mean of valid cells is zero")
+    try:
+        with np.errstate(over="raise"):
+            mean = vals.mean()
+            sd = vals.std(ddof=1)
+            if mean == 0.0:
+                raise DegenerateDataError("mean of valid cells is zero")
+            rsd_pct = 100.0 * sd / mean
+    except FloatingPointError as exc:
+        raise DegenerateDataError(
+            f"statistics of valid cells overflow ({exc})"
+        ) from exc
     return WaferStats(
-        mean=mean,
-        sd=sd,
-        rsd_pct=100.0 * sd / mean,
+        mean=float(mean),
+        sd=float(sd),
+        rsd_pct=float(rsd_pct),
         yield_pct=100.0 * vals.size / wmap.n_probed,
         n_valid=int(vals.size),
         n_probed=wmap.n_probed,
@@ -144,14 +152,15 @@ def fit_capacitance_per_area(points) -> CapacitanceRegression:
     pts = [(float(a), float(c)) for a, c in points]
     if len(pts) < 3:
         raise InsufficientDataError(f"need at least 3 points, got {len(pts)}")
+    n_areas = len({p[0] for p in pts})
+    if n_areas < 3:
+        raise DegenerateDataError(f"need at least 3 distinct areas, got {n_areas}")
     a = np.array([p[0] for p in pts])
     c = np.array([p[1] for p in pts])
-    if np.unique(a).size < 3:
-        raise DegenerateDataError(
-            f"need at least 3 distinct areas, got {np.unique(a).size}"
-        )
     n = a.size
     line = fit_line(a, c)
+    if line.sxx == 0.0:
+        raise DegenerateDataError("spread of the areas underflows to zero")
     sigma2 = line.sse / (n - 2)
     return CapacitanceRegression(
         ca_ff_per_um2=line.slope,

@@ -15,7 +15,6 @@ __all__ = [
     "NoDTWindowError",
     "NoFNWindowError",
     "NoRootError",
-    "NoBracketError",
     "NoBreakdownError",
     "NoKneeError",
     "DatasetError",
@@ -48,10 +47,6 @@ class NoFNWindowError(AnalysisError):
 
 class NoRootError(AnalysisError):
     """Measured conductance is outside the range the tunneling model can produce."""
-
-
-class NoBracketError(AnalysisError):
-    """A fitted area-resistance left the range in which the data constrain it."""
 
 
 class NoBreakdownError(AnalysisError):

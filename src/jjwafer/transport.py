@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .capacitance import EPS_R_REFERENCE
 from .constants import (
     CONST,
     DEFAULT_BETA,
@@ -65,13 +66,6 @@ __all__ = [
 # exp(-x) underflow guard threshold for the barrier exponent
 _EXP_GUARD = 700.0
 
-# Fallback relative permittivity of the barrier oxide: calibrated from the
-# reference film (plate capacitance 20 fF/um^2 at 4.4 nm measured thickness),
-# see capacitance.dielectric_constant_from.  Stored numerically here to keep
-# this module free of import cycles; capacitance.EPS_R_REFERENCE recomputes it
-# and a unit test pins the two together.
-_EPS_R_FALLBACK = 20e-3 * 4.4e-9 / CONST.eps0
-
 
 @dataclass(frozen=True)
 class OxideModel:
@@ -91,7 +85,7 @@ class OxideModel:
     t_ox: float
     k: float | None = None
     phi: float | None = None
-    eps_r: float = _EPS_R_FALLBACK
+    eps_r: float = EPS_R_REFERENCE
     beta: float = DEFAULT_BETA
     m_rel: float = DEFAULT_M_REL
     mu: float | None = None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,20 @@ def test_wafer_statistics_needs_two_valid_cells():
         wafer_statistics(m)
 
 
+@pytest.mark.parametrize("cells", [
+    [1.8961503816218355e+154, 0.0],   # the squared deviations overflow
+    [1.5e308, 1.5e308],               # the sum behind the mean overflows
+    [1e100, -1e100, 1e-300],          # 100 * sd / mean overflows
+])
+def test_wafer_statistics_refuses_overflow_without_a_warning(cells):
+    m = WaferMap(values=np.array([cells]), probed=np.ones((1, len(cells)), bool),
+                 area_um2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError, match="overflow"):
+            wafer_statistics(m)
+
+
 def test_wafer_map_validation():
     with pytest.raises(ValueError):
         WaferMap(values=np.ones(4), probed=np.ones(4, bool), area_um2=1.0)
@@ -97,6 +113,26 @@ def test_capacitance_regression_requires_three_distinct_areas():
         fit_capacitance_per_area([(1.0, 20.0), (2.0, 40.0)])
     with pytest.raises(DegenerateDataError):
         fit_capacitance_per_area([(1.0, 20.0), (1.0, 21.0), (1.0, 19.0)])
+
+
+@pytest.mark.parametrize("areas", [
+    (1.0, 1.0, 2.0), (1.0, 2.0, 3.0), (0.0, -0.0, 1.0, 2.0), (5e-324, 1e-323, 5e-324),
+    (1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51, 1.0),
+])
+def test_capacitance_regression_counts_areas_like_unique(areas):
+    pts = [(a, 20.0 * a + 3.0) for a in areas]
+    n = np.unique(np.array(areas)).size
+    if n < 3:
+        with pytest.raises(DegenerateDataError, match=f"got {n}$"):
+            fit_capacitance_per_area(pts)
+    else:
+        fit_capacitance_per_area(pts)
+
+
+def test_capacitance_regression_refuses_areas_whose_spread_underflows():
+    # three distinct areas, but their squared deviations round to zero
+    with pytest.raises(DegenerateDataError, match="underflows"):
+        fit_capacitance_per_area([(1e-300, 1.0), (2e-300, 2.0), (3e-300, 3.0)])
 
 
 def test_thickness_from_regression_round_trip():

@@ -10,6 +10,7 @@
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -235,6 +236,21 @@ def test_analyze_runs_on_every_accepted_dataset(ds, t_ox_nm):
     report = analyze(loads_text(dumps_text(ds)), config=AnalysisConfig(t_ox_nm=t_ox_nm))
     render_text(report)
     render_json(report)
+
+
+def test_overflowing_cap_spread_skips_the_area_without_a_warning():
+    # found by the property above: the sample sd of these two readings
+    # overflows, which numpy reported only as a RuntimeWarning and an inf spread
+    ds = DatasetFile(wafer={"rows": "1", "cols": "2"}, cap=[
+        CapRecord(0, 0, 1.0, 1.8961503816218355e+154), CapRecord(0, 1, 1.0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze(loads_text(dumps_text(ds)), stages=("cap",))
+        render_text(report)
+        render_json(report)
+    assert report.cap_by_area == ()
+    assert [note.split(" (")[0] for note in report.notes] == ["cap: area 1 um2 skipped"]
+    assert "overflow" in report.notes[0]
 
 
 def test_cli_reports_each_file_as_if_it_ran_alone(tmp_path, capsys):

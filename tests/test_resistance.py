@@ -1,15 +1,14 @@
 """Two-path resistance model and the plate/sidewall decomposition."""
 
-import numpy as np
+import re
+
 import pytest
 
 from jjwafer.geometry import JunctionGeometry
-from jjwafer.errors import InsufficientDataError, NoBracketError
+from jjwafer.errors import InsufficientDataError
 from jjwafer.resistance import (
     ResistanceRecord,
     decompose_resistances,
-    fit_ra,
-    fit_ras,
     junction_resistance,
     plate_resistance,
 )
@@ -72,26 +71,6 @@ def _series(ra, ra_s, w_tops, w_bots, h=0.12):
     return recs
 
 
-def test_fit_ra_exact_when_sidewall_carries_nothing():
-    recs = [
-        ResistanceRecord(g, plate_resistance(g, 9.4e3))
-        for g in (JunctionGeometry(5.0, w) for w in (5.0, 10.0, 20.0, 40.0))
-    ]
-    assert fit_ra(recs) == pytest.approx(9.4e3, rel=1e-12)
-
-
-def test_fit_ra_biased_low_when_sidewall_conducts():
-    recs = _series(14600.0, 14600.0, [5.0] * 4, [5.0, 10.0, 20.0, 40.0])
-    ra_est = fit_ra(recs)
-    assert ra_est < 14600.0
-    assert abs(ra_est - 14600.0) / 14600.0 > 0.02  # visible bias, not noise
-
-
-def test_fit_ras_recovers_sidewall_with_true_ra():
-    recs = _series(14600.0, 11000.0, [0.35, 0.5, 1.0, 2.0, 5.0, 10.0], [5.0] * 6)
-    assert fit_ras(recs, 14600.0) == pytest.approx(11000.0, rel=1e-6)
-
-
 @pytest.mark.parametrize("ra,ra_s", [
     (14600.621198120174, 14600.621198120174),
     (8200.0, 3100.0),
@@ -106,8 +85,6 @@ def test_decomposition_recovers_generating_pair(ra, ra_s):
     assert out.ra == pytest.approx(ra, rel=1e-9)
     assert out.ra_s == pytest.approx(ra_s, rel=1e-9)
     assert out.max_rel_residual < 1e-9
-    # the joint refit must actually improve on the staged pass
-    assert abs(out.ra - ra) <= abs(out.ra_staged - ra)
 
 
 def test_decomposition_flags_negligible_sidewall():
@@ -123,11 +100,23 @@ def test_decomposition_needs_enough_distinct_geometries():
         decompose_resistances(recs)
 
 
-def test_fit_ras_reports_unbracketable_sidewall():
-    # plate-only data puts the best sidewall estimate at the bracket edge
-    recs = [
-        ResistanceRecord(g, plate_resistance(g, 9.4e3))
-        for g in (JunctionGeometry(w, 5.0) for w in (0.35, 1.0, 5.0, 20.0))
-    ]
-    with pytest.raises(NoBracketError):
-        fit_ras(recs, 9.4e3)
+@pytest.mark.parametrize("w_bots,accepted", [
+    ((10.0, 20.0, 40.0), True),
+    ((10.0, 20.0), False),
+    ((10.0, 20.0, 20.0), False),
+    ((10.0, 20.0, 20.0 * (1.0 + 1e-13)), False),  # within the distinctness tolerance
+])
+def test_decomposition_needs_a_constant_w_top_series_of_three_w_bot(w_bots, accepted):
+    # the sidewall rows each have their own w_top, so only the w_top = 5 rows
+    # can form the series
+    recs = _series(8200.0, 3100.0, [5.0] * len(w_bots), w_bots) + _series(
+        8200.0, 3100.0, [0.35, 1.0, 2.0], [5.0] * 3
+    )
+    if accepted:
+        out = decompose_resistances(recs)
+        assert out.ra == pytest.approx(8200.0, rel=1e-9)
+        assert out.ra_s == pytest.approx(3100.0, rel=1e-9)
+    else:
+        message = "no constant-w_top series with >= 3 distinct w_bot values"
+        with pytest.raises(InsufficientDataError, match=re.escape(message)):
+            decompose_resistances(recs)

@@ -56,8 +56,8 @@ def test_k_matches_a_bisection_oracle_on_every_preset_sweep(preset):
 
 
 def test_sidewall_leaves_the_range_edge_on_etch30_seed_2():
-    # the staged sidewall fit finds no bracket on this wafer; the joint fit
-    # must still find the sidewall instead of parking RA_S at 1e9
+    # the sidewall signal of this wafer is weak; the joint fit must still
+    # find RA_S inside its range instead of parking it at the 1e9 edge
     gen = generate_wafer(preset_spec("etch30", seed=2))
     out = decompose_resistances(gen.resistance_records)
     assert out.ra == pytest.approx(gen.ground_truth["ra_mohm_um2"], rel=0.02)
@@ -100,5 +100,16 @@ def test_cli_import_loads_only_numpy_and_the_standard_library():
             "extra = {m.split('.')[0] for m in set(sys.modules) - before}; "
             "extra -= set(sys.stdlib_module_names) | {'numpy', 'jjwafer'}; "
             "assert not extra, sorted(extra)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_analyze_does_not_load_numpy_ma():
+    # numpy.ma costs about 15 ms to import, once per CLI process
+    code = ("import sys; from jjwafer.report import analyze; "
+            "from jjwafer.synthetic import generate_wafer, preset_spec; "
+            "report = analyze(generate_wafer(preset_spec('etch20', seed=0)).dataset); "
+            "assert report.t_ox_nm is not None and not report.stage_errors; "
+            "assert 'numpy.ma' not in sys.modules")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from jjwafer.capacitance import EPS_R_REFERENCE
 from jjwafer.constants import CONST
 from jjwafer.errors import UnderflowWarning
 from jjwafer.transport import (
@@ -66,6 +67,11 @@ def test_oxide_model_completes_missing_parameter():
     assert m1.phi == pytest.approx(3.1304083017754873, rel=1e-12)
     m2 = OxideModel(t_ox=4.4, phi=3.14)
     assert m2.k == pytest.approx(15.724034322489892, rel=1e-12)
+
+
+def test_oxide_model_defaults_to_the_reference_permittivity():
+    # the default is the capacitance calibration itself, not a second copy
+    assert OxideModel(t_ox=4.4, k=15.7).eps_r == EPS_R_REFERENCE
 
 
 def test_oxide_model_rejects_inconsistent_pair():
