@@ -44,6 +44,7 @@ from .dataset import (
     ground_truth,
     iv_curves,
     load_dataset,
+    ramp_blocks,
     ramp_traces,
     resistance_records,
     save_dataset,
@@ -154,7 +155,7 @@ __all__ = [
     "PRESET_NAMES", "intrinsic_breakdown_field_sample", "bimodal_field_sample",
     # dataset io
     "DatasetFile", "save_dataset", "load_dataset", "cap_areas",
-    "cap_wafer_map", "iv_curves", "ramp_traces", "resistance_records",
+    "cap_wafer_map", "iv_curves", "ramp_traces", "ramp_blocks", "resistance_records",
     "ground_truth",
     # pipeline
     "STAGES", "AnalysisConfig", "WaferReport", "analyze", "render_text",

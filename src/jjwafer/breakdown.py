@@ -9,9 +9,15 @@ mean plotting positions P_i = i / (n + 1) and drawn as y = ln(-ln(1 - P))
 against E.  A homogeneous (weakest-link) failure population is a straight
 line on this plot; an extrinsic defect population shows up as a second,
 shallower branch at low fields, and the transition point separates the two.
-find_transition locates it with a continuous two-segment linear fit; the
-empirical probability at the transition feeds the Poisson defect-density
-estimate D = -ln(1 - P_k) / A.
+find_transition locates it with the best two-segment least-squares fit: the
+error of every split comes from prefix sums at once, and the few splits
+within rounding distance of the best are refit exactly.  The empirical
+probability at the transition feeds the Poisson defect-density estimate
+D = -ln(1 - P_k) / A.
+
+A wafer's ramps are analyzed as one (ramps, steps) block: ramp_faults applies
+RampTrace's rules to every row and first_jumps finds every row's breakdown
+step; detect_breakdown is the same rule on one trace.
 """
 
 from __future__ import annotations
@@ -36,11 +42,13 @@ __all__ = [
     "WeibullAnalysis",
     "KneeFit",
     "detect_breakdown",
+    "first_jumps",
     "weibull_transform",
     "fit_weibull_shape",
     "find_transition",
     "critical_defect_density",
     "check_ramp_steps",
+    "ramp_faults",
     "jump_steps",
     "DEFAULT_RAMP_STEP_V",
     "DEFAULT_RAMP_RATE_V_PER_S",
@@ -59,6 +67,8 @@ _KNEE_SLOPE_RATIO = 2.0  # intrinsic wall must be this much steeper than the tai
 _MIN_WEIBULL_N = 10
 _MIN_TRANSITION_N = 20  # two segments need support
 _STEP_TOL = 0.01        # the instrument occasionally drops a rounding digit
+_EPS = float(np.finfo(float).eps)
+_SAFE_MIN, _SAFE_MAX = 2.0**-400, 2.0**400  # squares stay normal floats
 
 
 def check_ramp_steps(v: np.ndarray, step_v: float) -> None:
@@ -71,6 +81,31 @@ def check_ramp_steps(v: np.ndarray, step_v: float) -> None:
             or abs(mean - step_v) > _STEP_TOL * step_v):
         raise ValueError("ramp voltages must advance in constant steps of step_v "
                          "(within 1%)")
+
+
+def ramp_faults(v: np.ndarray, i: np.ndarray, step_v: np.ndarray) -> np.ndarray:
+    """Rows of a ramp block that RampTrace refuses.
+
+    v, i are (ramps, steps) float arrays and step_v holds one declared step
+    per row.  A row is at fault when transport.sweep_arrays or
+    check_ramp_steps would refuse it: fewer than 2 points, a non-finite
+    value, v not strictly increasing, or steps off the rule.  The arithmetic
+    is the scalar rules' own, row by row, so the verdicts agree exactly.
+    """
+    if v.shape[1] < 2:
+        return np.ones(len(v), dtype=bool)
+    # a row already at fault may overflow or turn to nan in the later rules;
+    # RampTrace reports it, with its own warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(v, axis=1)
+        faulty = ~(np.isfinite(v).all(axis=1) & np.isfinite(i).all(axis=1)
+                   & (steps > 0.0).all(axis=1))
+        mean = steps.mean(axis=1)
+        np.subtract(steps, mean[:, np.newaxis], out=steps)
+        np.abs(steps, out=steps)
+        faulty |= steps.max(axis=1) > _STEP_TOL * mean
+        faulty |= np.abs(mean - step_v) > _STEP_TOL * step_v
+    return faulty
 
 
 @dataclass(frozen=True)
@@ -113,19 +148,31 @@ class BreakdownRecord:
     hard: bool
 
 
-def jump_steps(i: np.ndarray, jump_factor: float, floor: float) -> np.ndarray:
-    """Indices n >= 1 at which i[n] > jump_factor * max(i[n-1], floor).
-
-    The one jump rule, shared by ramp breakdown detection and I-V
-    segmentation.  A threshold that overflows to inf is simply never cleared.
-    """
+def _jumps(i: np.ndarray, jump_factor: float, floor: float) -> np.ndarray:
+    """i[..., n] > jump_factor * max(i[..., n-1], floor) for n >= 1, along
+    the last axis.  The one jump rule, shared by ramp breakdown detection and
+    I-V segmentation.  A threshold that overflows to inf is never cleared."""
+    threshold = np.maximum(i[..., :-1], floor)
     with np.errstate(over="ignore"):
-        return np.nonzero(i[1:] > jump_factor * np.maximum(i[:-1], floor))[0] + 1
+        threshold *= jump_factor
+    return i[..., 1:] > threshold
+
+
+def jump_steps(i: np.ndarray, jump_factor: float, floor: float) -> np.ndarray:
+    """Indices n >= 1 at which i[n] > jump_factor * max(i[n-1], floor)."""
+    return np.nonzero(_jumps(i, jump_factor, floor))[0] + 1
+
+
+def first_jumps(i: np.ndarray, jump_factor: float, floor: float) -> np.ndarray:
+    """Per row of the (ramps, steps) current block i, the first of its
+    jump_steps, or 0 where the row has none."""
+    jumps = _jumps(i, jump_factor, floor)
+    return np.where(jumps.any(axis=1), jumps.argmax(axis=1) + 1, 0)
 
 
 def detect_breakdown(trace: RampTrace, jump_factor: float = DEFAULT_JUMP_FACTOR,
                      floor: float = DEFAULT_JUMP_FLOOR_A) -> BreakdownRecord:
-    """First current jump in a ramp trace (see jump_steps).
+    """First current jump in a ramp trace (first_jumps of its one row).
 
     Raising jump_factor can only move the detection to a later step, never an
     earlier one.  Raises NoBreakdownError when no step qualifies.
@@ -135,12 +182,11 @@ def detect_breakdown(trace: RampTrace, jump_factor: float = DEFAULT_JUMP_FACTOR,
     if not (floor > 0.0):
         raise ValueError(f"floor must be positive, got {floor}")
     i = trace.i
-    steps = jump_steps(i, jump_factor, floor)
-    if not steps.size:
+    n = int(first_jumps(i[np.newaxis], jump_factor, floor)[0])
+    if not n:
         raise NoBreakdownError(
             f"no current jump above factor {jump_factor} within the ramp"
         )
-    n = int(steps[0])
     threshold = jump_factor * max(i[n - 1], floor)
     hard = bool(np.all(i[n:] >= threshold))
     return BreakdownRecord(v_bt=float(trace.v[n]), index=n, hard=hard)
@@ -213,13 +259,76 @@ class KneeFit:
     sse_one: float
 
 
+def _near_best_splits(e: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Splits j (low branch e[:j+1], at least _MIN_SEGMENT points per side)
+    whose two-segment fit_line error may be the smallest, ascending.
+
+    Each branch's error syy - sxy**2 / sxx comes from prefix sums of the
+    centred points (Bai & Perron, J. Appl. Econ. 18:1, 2003), with a bound
+    on how far rounding can put it from fit_line's: the rounding of the sums
+    and of the centring, which grows as a branch gets flat and is unbounded
+    for a flat one, plus that of fit_line's residuals.  A split whose error
+    minus its bound exceeds the smallest error plus bound cannot be
+    fit_line's best.  The bounds are worst cases with a factor of 8 to spare.
+    Outside 2**-400 .. 2**400, where fit_line's squares may leave the float
+    range, every split is returned.
+    """
+    n = e.size
+    splits = np.arange(_MIN_SEGMENT - 1, n - _MIN_SEGMENT)
+    scales = np.max(np.abs(e)), np.max(np.abs(y))
+    if not all(_SAFE_MIN < s < _SAFE_MAX for s in scales):
+        return splits
+    # powers of two scale exactly: both axes peak in [0.5, 1), so centring
+    # moves a point by less than 1 and rounds it by less than d
+    x, y = (np.ldexp(a, -np.frexp(s)[1]) for a, s in zip((e, y), scales))
+    d = 8.0 * _EPS
+    x = x - x.mean()
+    y = y - y.mean()
+    sums = np.cumsum(np.column_stack((np.ones(n), x, y, x * x, x * y, y * y)),
+                     axis=0)
+    total = sums[-1]
+    low = sums[splits]
+    gamma = 8.0 * n * math.sqrt(n) * _EPS  # a prefix sum adds up to n terms
+    sum_xx, sum_yy = gamma * total[3], gamma * total[5]
+    sum_xy = gamma * math.sqrt(total[3] * total[5])
+    sse = np.zeros(splits.size)
+    err = np.zeros(splits.size)
+    for branch in (low, total - low):
+        k, sx, sy, sxx, sxy, syy = branch.T
+        sxx = sxx - sx * sx / k
+        sxy = sxy - sx * sy / k
+        syy = syy - sy * sy / k
+        rx = np.sqrt(k * np.maximum(sxx, 0.0))
+        ry = np.sqrt(k * np.maximum(syy, 0.0))
+        err_xx = sum_xx + d * (2.0 * rx + k * d)
+        err_xy = sum_xy + d * (rx + ry + k * d)
+        err_yy = sum_yy + d * (2.0 * ry + k * d)
+        flat = sxx <= 2.0 * err_xx
+        sxx[flat] = np.inf
+        explained = sxy * sxy / sxx
+        branch_sse = syy - explained
+        sse += branch_sse
+        err += ((2.0 * np.abs(sxy) * err_xy + err_xy * err_xy
+                 + explained * err_xx) / (sxx - err_xx) + err_yy)
+        # fit_line's residuals y - b - a x: every term is below m
+        m = 2.0 * (1.0 + np.abs(sxy / sxx))
+        rr = np.sqrt(k * np.maximum(branch_sse, 0.0))
+        err += 8.0 * _EPS * (m * rr + k * _EPS * m * m + rr * rr)
+        err[flat] = np.inf
+    return splits[sse - err <= np.min(sse + err)]
+
+
 def find_transition(w: WeibullAnalysis) -> KneeFit:
     """Locate the defect-to-intrinsic transition on the Weibull plot.
 
-    Scans every split with at least 5 points per side, fitting independent
-    least-squares lines to the low branch y[:j+1] and the high branch
-    y[j+1:] against E, and keeps the split with the smallest total squared
-    error.  A genuine transition must satisfy all of:
+    Of every split with at least 5 points per side, keeps the one whose
+    independent least-squares lines through the low branch y[:j+1] and the
+    high branch y[j+1:] against E leave the smallest total squared error
+    (the first such split on a tie).  _near_best_splits gives every split's
+    error from prefix sums in one pass, with a bound on its rounding; only
+    the splits that bound cannot rule out are refit with fit_line, in
+    order, so the result is that of refitting every split.  A genuine
+    transition must satisfy all of:
 
     * the two-segment error undercuts the single straight line by at least
       20% (a homogeneous population gains little from a second segment), and
@@ -245,7 +354,7 @@ def find_transition(w: WeibullAnalysis) -> KneeFit:
     sse_one = fit_line(e, y).sse
 
     best = None
-    for j in range(_MIN_SEGMENT - 1, n - _MIN_SEGMENT):
+    for j in _near_best_splits(e, y).tolist():
         lo = fit_line(e[: j + 1], y[: j + 1])
         hi = fit_line(e[j + 1 :], y[j + 1 :])
         sse = lo.sse + hi.sse

@@ -147,7 +147,8 @@ def fit_capacitance_per_area(points) -> CapacitanceRegression:
     """Fit C = (C/A) * A + C0 over (area, mean capacitance) points.
 
     points: iterable of (area_um2, mean_c_ff).  At least 3 distinct areas are
-    required, otherwise the slope and intercept are not separable.
+    required, otherwise the slope and intercept are not separable.  Areas or
+    readings whose sums overflow raise DegenerateDataError.
     """
     pts = [(float(a), float(c)) for a, c in points]
     if len(pts) < 3:
@@ -158,15 +159,21 @@ def fit_capacitance_per_area(points) -> CapacitanceRegression:
     a = np.array([p[0] for p in pts])
     c = np.array([p[1] for p in pts])
     n = a.size
-    line = fit_line(a, c)
-    if line.sxx == 0.0:
-        raise DegenerateDataError("spread of the areas underflows to zero")
-    sigma2 = line.sse / (n - 2)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            line = fit_line(a, c)
+            if line.sxx == 0.0:
+                raise DegenerateDataError("spread of the areas underflows to zero")
+            sigma2 = line.sse / (n - 2)
+            intercept_var = sigma2 * (1.0 / n + line.xm**2 / line.sxx)
+    except FloatingPointError as exc:
+        raise DegenerateDataError(f"C/A regression leaves the float range ({exc})") \
+            from exc
     return CapacitanceRegression(
         ca_ff_per_um2=line.slope,
         ca_stderr=math.sqrt(sigma2 / line.sxx),
         intercept_ff=line.intercept,
-        intercept_stderr=math.sqrt(sigma2 * (1.0 / n + line.xm**2 / line.sxx)),
+        intercept_stderr=math.sqrt(intercept_var),
         residual_stderr=math.sqrt(sigma2),
         r2=line.r2,
         points=tuple(pts),

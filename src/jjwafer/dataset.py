@@ -30,7 +30,8 @@ same for both formats:
 * v and i have equal length >= 2, and v strictly increases
   (transport.sweep_arrays, which IVCurve and RampTrace apply too)
 * ramp voltages advance in constant steps of step_v
-  (breakdown.check_ramp_steps, which RampTrace applies too)
+  (breakdown.check_ramp_steps, which RampTrace applies too; ramp_blocks
+  applies both rules to a wafer's ramps at once, through breakdown.ramp_faults)
 * no two cap records share a die and an area
 * wafer rows/cols, when present, are integers in [1, MAX_GRID], and every
   die lies inside them
@@ -48,13 +49,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
+from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .breakdown import RampTrace, check_ramp_steps
+from .breakdown import RampTrace, check_ramp_steps, ramp_faults
 from .capacitance import WaferMap
 from .errors import (
     DatasetError,
@@ -86,6 +89,7 @@ __all__ = [
     "cap_wafer_map",
     "iv_curves",
     "ramp_traces",
+    "ramp_blocks",
     "resistance_records",
     "ground_truth",
 ]
@@ -608,13 +612,52 @@ def iv_curves(ds: DatasetFile) -> list[IVCurve]:
     ]
 
 
+_V, _I = operator.attrgetter("v"), operator.attrgetter("i")
+
+
+def _ramp_trace(rec: RampRecord) -> RampTrace:
+    return RampTrace(v=np.asarray(rec.v), i=np.asarray(rec.i), area_um2=rec.area_um2,
+                     die=(rec.row, rec.col), step_v=rec.step_v,
+                     rate_v_per_s=rec.rate_v_per_s)
+
+
 def ramp_traces(ds: DatasetFile) -> list[RampTrace]:
-    return [
-        RampTrace(v=np.asarray(rec.v), i=np.asarray(rec.i), area_um2=rec.area_um2,
-                  die=(rec.row, rec.col), step_v=rec.step_v,
-                  rate_v_per_s=rec.rate_v_per_s)
-        for rec in ds.ramp
-    ]
+    return list(map(_ramp_trace, ds.ramp))
+
+
+def ramp_blocks(ds: DatasetFile) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The ramps stacked by length: for each length, in ascending order, the
+    file positions of its ramps and their v and i as (ramps, steps) blocks.
+
+    Every ramp is held to RampTrace's rules at once (breakdown.ramp_faults
+    and a positive area).  A dataset with a faulty ramp raises what
+    ramp_traces raises: RampTrace's error for the first one in file order.
+    """
+    records = ds.ramp
+    n = len(records)
+    try:
+        sizes = np.fromiter(map(len, map(_V, records)), int, n)
+        faulty = sizes != np.fromiter(map(len, map(_I, records)), int, n)
+        areas = map(operator.attrgetter("area_um2"), records)
+        faulty |= ~np.fromiter(map(operator.gt, areas, repeat(0.0)), bool, n)
+        # unconverted, so a step_v RampTrace cannot use fails here too
+        step_v = np.array(list(map(operator.attrgetter("step_v"), records)))
+        blocks = []
+        for size in sorted(set(sizes[~faulty].tolist())):
+            take = (sizes == size) & ~faulty
+            rows = np.flatnonzero(take)
+            group = list(compress(records, take))
+            v, i = (np.fromiter(chain.from_iterable(map(get, group)), float,
+                                rows.size * size).reshape(rows.size, size)
+                    for get in (_V, _I))
+            faulty[rows] = ramp_faults(v, i, step_v[rows])
+            blocks.append((rows, v, i))
+    except (TypeError, ValueError, OverflowError):
+        ramp_traces(ds)  # entries that do not stack: RampTrace names the first
+        raise
+    for rec in compress(records, faulty):  # RampTrace names the first fault
+        _ramp_trace(rec)
+    return blocks
 
 
 def resistance_records(ds: DatasetFile) -> list[ResistanceRecord]:

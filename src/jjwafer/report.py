@@ -33,6 +33,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from .breakdown import (
     DEFAULT_JUMP_FACTOR,
     DEFAULT_JUMP_FLOOR_A,
     critical_defect_density,
-    detect_breakdown,
     find_transition,
+    first_jumps,
     fit_weibull_shape,
     weibull_transform,
 )
@@ -64,14 +65,13 @@ from .dataset import (
     cap_areas,
     cap_wafer_map,
     iv_curves,
-    ramp_traces,
+    ramp_blocks,
     resistance_records,
 )
 from .errors import (
     AnalysisError,
     DatasetFormatError,
     DatasetSchemaError,
-    NoBreakdownError,
     NoKneeError,
 )
 from .iv_analysis import fit_k_from_dt
@@ -356,45 +356,47 @@ def _stage_res(ds, config, out, notes, errors) -> None:
 
 
 def _stage_bkd(ds, config, out, notes, errors) -> None:
-    traces = ramp_traces(ds)
-    out["n_ramps"] = len(traces)
-    if not traces:
+    n_ramps = len(ds.ramp)
+    out["n_ramps"] = n_ramps
+    if not n_ramps:
         errors.append(("bkd", "no ramp records"))
         return
-    v_bts = []
-    censored = 0
-    for trace in traces:
-        try:
-            rec = detect_breakdown(trace, jump_factor=config.jump_factor,
-                                   floor=config.jump_floor_a)
-        except NoBreakdownError:
-            censored += 1
-            continue
-        v_bts.append(rec.v_bt)
-    out["n_breakdowns"] = len(v_bts)
+    v_bt = np.empty(n_ramps)  # nan for a ramp that ended without breakdown
+    for rows, v, i in ramp_blocks(ds):
+        steps = first_jumps(i, config.jump_factor, config.jump_floor_a)
+        v_bt[rows] = np.where(steps > 0, v[np.arange(rows.size), steps], np.nan)
+    v_bts = v_bt[~np.isnan(v_bt)]
+    censored = n_ramps - v_bts.size
+    out["n_breakdowns"] = v_bts.size
     out["n_censored"] = censored
     if censored:
         notes.append(f"bkd: {censored} ramp(s) ended without breakdown")
-    if len(v_bts) < 2:
+    if v_bts.size < 2:
         errors.append(("bkd", f"need at least 2 breakdowns for statistics, "
-                              f"got {len(v_bts)}"))
+                              f"got {v_bts.size}"))
         return
-    arr = np.asarray(v_bts)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
-    out.update(v_bt_v=mean, v_bt_sd_v=sd,
-               rsd_v_bt_pct=100.0 * sd / mean if mean else None)
+    try:
+        with np.errstate(over="raise"):
+            mean = v_bts.mean()
+            sd = v_bts.std(ddof=1)
+            rsd_pct = 100.0 * sd / mean if mean else None
+    except FloatingPointError as exc:
+        errors.append(("bkd", f"V_BT statistics overflow ({exc})"))
+        return
+    out.update(v_bt_v=float(mean), v_bt_sd_v=float(sd),
+               rsd_v_bt_pct=None if rsd_pct is None else float(rsd_pct))
 
     t_ox = _thickness_for(out, config)
     if t_ox is None:
         notes.append("bkd: field analysis skipped, no oxide thickness available")
         return
-    area_counts = Counter(t.area_um2 for t in traces)
+    area_counts = Counter(map(attrgetter("area_um2"), ds.ramp))
     if len(area_counts) > 1:
         notes.append(f"bkd: mixed ramp areas {sorted(area_counts)}, defect "
                      "density uses the most common one")
     area = max(area_counts, key=lambda a: (area_counts[a], a))
-    fields = [field_strength(v, t_ox) for v in v_bts]
+    with np.errstate(over="ignore"):  # weibull_transform refuses an inf field
+        fields = field_strength(v_bts, t_ox)
     try:
         w = weibull_transform(fields)
         shape, _, r2 = fit_weibull_shape(w)

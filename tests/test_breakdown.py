@@ -5,20 +5,28 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from jjwafer._fit import fit_line
 from jjwafer.breakdown import (
     DEFAULT_RAMP_RATE_V_PER_S,
     DEFAULT_RAMP_STEP_V,
+    KneeFit,
     RampTrace,
+    WeibullAnalysis,
     critical_defect_density,
     detect_breakdown,
     find_transition,
+    first_jumps,
     fit_weibull_shape,
     jump_steps,
     weibull_transform,
 )
 from jjwafer.errors import InsufficientDataError, NoBreakdownError, NoKneeError
 from jjwafer.synthetic import bimodal_field_sample
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 RAMP_V = np.arange(1, 251) * 0.01
 
@@ -88,6 +96,46 @@ def test_jump_steps_match_the_scalar_rule():
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflowing threshold is no jump
             assert jump_steps(i, 10.0, 1e-9).tolist() == expected
+
+
+def ramp_currents(draw, n_steps):
+    """One ramp's currents: sub-floor flicker or a smooth leak, then maybe a
+    jump, maybe one that recovers, maybe currents whose threshold overflows."""
+    kind = draw(st.sampled_from(["flicker", "leak", "jump", "soft", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i = (10.0 ** rng.uniform(-13, -10, n_steps) if kind == "flicker"
+         else np.linspace(1e-10, 1e-8, n_steps))
+    at = draw(st.integers(1, n_steps - 1))
+    if kind in ("jump", "soft"):
+        i[at:] *= 10.0 ** draw(st.floats(0.5, 5.0))
+        if kind == "soft":
+            i[at + 1:] = i[at - 1]
+    elif kind == "huge":  # 10 * 1e308 overflows: no jump after these
+        i[at - 1:] = draw(st.sampled_from([1e307, 1.7e308, 1e308]))
+        i[at:] = 1.7976931348623157e308
+    return i
+
+
+@st.composite
+def current_blocks(draw):
+    n_steps = draw(st.integers(2, 40))
+    rows = draw(st.integers(1, 12))
+    return np.array([ramp_currents(draw, n_steps) for _ in range(rows)])
+
+
+@PROPERTY
+@given(current_blocks(), st.sampled_from([1.5, 10.0, 1e3]),
+       st.sampled_from([1e-13, 1e-9, 1e-6]))
+def test_first_jumps_match_detect_breakdown_row_by_row(block, jump_factor, floor):
+    v = DEFAULT_RAMP_STEP_V * np.arange(1, block.shape[1] + 1)
+    expected = []
+    for i in block:
+        try:
+            expected.append(detect_breakdown(RampTrace(v, i, area_um2=25.0),
+                                             jump_factor, floor).index)
+        except NoBreakdownError:
+            expected.append(0)
+    assert first_jumps(block, jump_factor, floor).tolist() == expected
 
 
 def test_detect_breakdown_parameter_validation():
@@ -220,6 +268,71 @@ def test_transition_scales_with_field_axis():
     k2 = find_transition(weibull_transform(2.5 * e))
     assert k2.e_crit == pytest.approx(2.5 * k1.e_crit, rel=1e-12)
     assert k2.p_k == k1.p_k
+
+
+def scanned_transition(w):
+    """find_transition as it was: fit_line on every split, in order."""
+    e, y, p = w.e, w.y, w.p
+    n = e.size
+    sse_one = fit_line(e, y).sse
+    best = None
+    for j in range(4, n - 5):
+        lo = fit_line(e[: j + 1], y[: j + 1])
+        hi = fit_line(e[j + 1 :], y[j + 1 :])
+        sse = lo.sse + hi.sse
+        if best is None or sse < best[0]:
+            best = (sse, j, lo.slope, hi.slope)
+    sse_two, j, slope_lo, slope_hi = best
+    if sse_one == 0.0 or sse_two > 0.8 * sse_one:
+        raise NoKneeError("two-segment fit does not improve on a single line by "
+                          "20%; the population looks homogeneous")
+    if not (slope_hi > slope_lo and (slope_lo <= 0.0 or slope_hi >= 2.0 * slope_lo)):
+        raise NoKneeError("best split lacks the shallow-tail-to-steep-wall structure "
+                          "of a defect-to-intrinsic transition")
+    last_left = int(np.searchsorted(e, e[j], side="right") - 1)
+    return KneeFit(e_crit=float(e[j + 1]), p_k=float(p[last_left]), index=j,
+                   left_slope=slope_lo, right_slope=slope_hi, sse_two=sse_two,
+                   sse_one=sse_one)
+
+
+@st.composite
+def weibull_plots(draw):
+    """Ranked fields of two-population mixtures, repeated draws and integer
+    values, and mirror images: a y profile symmetric about the middle of
+    evenly spaced fields, whose mirrored splits tie but for rounding."""
+    n = draw(st.integers(20, 400))
+    kind = draw(st.sampled_from(["mixture", "repeat", "integers", "mirror"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = draw(st.sampled_from([1.0, 2.5, 1e-6, 3e-3, 7e4, 1e12]))
+    if kind == "mirror":
+        half = rng.standard_normal((n + 1) // 2).cumsum()
+        return WeibullAnalysis(e=scale * np.linspace(1.0, 2.0, n),
+                               p=np.arange(1, n + 1) / (n + 1.0),
+                               y=np.concatenate([half, half[::-1][n % 2:]]))
+    if kind == "integers":
+        e = rng.integers(1, draw(st.integers(2, 40)) + 1, n).astype(float)
+    else:
+        e = bimodal_field_sample(
+            n // 2 if kind == "repeat" else n, draw(st.floats(0.0, 0.5)),
+            draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 30.0)),
+            draw(st.floats(4.0, 6.0)), draw(st.floats(0.5, 10.0)), seed)
+        if kind == "repeat":
+            e = np.repeat(e, draw(st.integers(2, 4)))
+    return weibull_transform(scale * e)
+
+
+@PROPERTY
+@given(weibull_plots())
+def test_transition_equals_the_scan_of_every_split(w):
+    try:
+        expected = scanned_transition(w)
+    except NoKneeError as exc:
+        with pytest.raises(NoKneeError) as refused:
+            find_transition(w)
+        assert str(refused.value) == str(exc)
+        return
+    assert find_transition(w) == expected
 
 
 # --- defect density ---

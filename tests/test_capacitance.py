@@ -135,6 +135,15 @@ def test_capacitance_regression_refuses_areas_whose_spread_underflows():
         fit_capacitance_per_area([(1e-300, 1.0), (2e-300, 2.0), (3e-300, 3.0)])
 
 
+def test_capacitance_regression_refuses_areas_whose_sums_overflow():
+    # the squared deviation of 1.7e308 overflows; numpy used to warn three
+    # times and return a C/A of 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError, match="overflow"):
+            fit_capacitance_per_area([(5e-324, 1.0), (1e-323, 2.0), (1.7e308, 3.0)])
+
+
 def test_thickness_from_regression_round_trip():
     pts = [(a, 20.0 * a) for a in (1.0, 25.0, 100.0)]
     fit = fit_capacitance_per_area(pts)

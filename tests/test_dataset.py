@@ -1,10 +1,12 @@
 """Dataset container: text/JSON round trips, eager validation, materializers."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jjwafer.breakdown import RampTrace
 from jjwafer.capacitance import WaferMap
@@ -25,6 +27,7 @@ from jjwafer.dataset import (
     load_dataset,
     loads_json,
     loads_text,
+    ramp_blocks,
     ramp_traces,
     resistance_records,
     save_dataset,
@@ -323,3 +326,59 @@ def test_ground_truth_blob():
     ds.meta["ground_truth"] = "{broken"
     with pytest.raises(DatasetSchemaError, match="not valid JSON"):
         ground_truth(ds)
+
+
+RAMP_FAULTS = ("uneven", "decreasing", "flat", "nan_v", "inf_i", "short_i",
+               "step_v", "area")
+
+
+@st.composite
+def ramp_records(draw):
+    """Ramps of 0 to 6 steps, most of them valid, some breaking one rule."""
+    n = draw(st.integers(0, 6))
+    step = draw(st.sampled_from([0.01, 0.02]))
+    v = (step * np.arange(1, n + 1)).tolist()
+    i = np.geomspace(1e-10, 1e-3, n).tolist()
+    area, step_v = 25.0, step
+    fault = draw(st.sampled_from((None,) * 4 + RAMP_FAULTS))
+    k = draw(st.integers(0, max(n - 1, 0)))
+    if fault == "uneven" and n:
+        v[k] += step * draw(st.sampled_from([0.005, 0.015, 0.3]))
+    elif fault == "decreasing" and n > 1:
+        v[k], v[-1 - k] = v[-1 - k], v[k]
+    elif fault == "flat":  # in constant steps of 0, which only v's rise refuses
+        v, step_v = [1.0] * n, 0.0
+    elif fault == "nan_v" and n:
+        v[k] = math.nan
+    elif fault == "inf_i" and n:
+        i[k] = -math.inf
+    elif fault == "short_i":
+        i = i[:-1]
+    elif fault == "step_v":
+        step_v = step * draw(st.sampled_from([0.995, 1.02, -1.0]))
+    elif fault == "area":
+        area = draw(st.sampled_from([0.0, -25.0, math.nan]))
+    return RampRecord(row=0, col=0, area_um2=area, step_v=step_v,
+                      rate_v_per_s=0.07, v=v, i=i)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(ramp_records(), min_size=1, max_size=8))
+def test_ramp_blocks_hold_every_ramp_to_the_rules_of_ramp_traces(records):
+    ds = DatasetFile(ramp=records)
+    try:
+        traces = ramp_traces(ds)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            ramp_blocks(ds)
+        assert str(refused.value) == str(exc)
+        return
+    blocks = ramp_blocks(ds)
+    assert sorted(row for rows, _, _ in blocks for row in rows.tolist()) == \
+        list(range(len(records)))
+    assert [v.shape[1] for _, v, _ in blocks] == sorted({len(r.v) for r in records})
+    for rows, v, i in blocks:
+        for row, v_row, i_row in zip(rows.tolist(), v, i):
+            assert np.array_equal(v_row, traces[row].v)
+            assert np.array_equal(i_row, traces[row].i)

@@ -7,10 +7,11 @@ import os
 import numpy as np
 import pytest
 
+from jjwafer.breakdown import detect_breakdown
 from jjwafer.capacitance import WaferMap
 from jjwafer.cli import EXIT_ANALYSIS, EXIT_INVALID, EXIT_IO, EXIT_OK, main
-from jjwafer.dataset import load_dataset
-from jjwafer.errors import DatasetSchemaError
+from jjwafer.dataset import dumps_text, load_dataset, loads_text, ramp_traces
+from jjwafer.errors import DatasetSchemaError, NoBreakdownError
 from jjwafer.report import (
     STAGES,
     AnalysisConfig,
@@ -113,6 +114,67 @@ def test_pipeline_on_defective_wafer():
     assert mixed.notes == ("bkd: mixed ramp areas [25.0, 50.0], defect density "
                            "uses the most common one",)
     assert mixed.defect_density_cm2 == rep.defect_density_cm2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bkd_stage_matches_detect_breakdown_on_each_trace(seed):
+    # ramps of three lengths, some cut before their jump, some flickering
+    # below the noise floor, some with thresholds that overflow to inf
+    ds = generate_wafer(WaferSpec(seed=seed, defect_density_cm2=5.5e5)).dataset
+    rng = np.random.default_rng(seed)
+    for k, rec in enumerate(ds.ramp):
+        n_steps = (300, 240, 170)[k % 3]
+        rec.v, rec.i = rec.v[:n_steps], rec.i[:n_steps]
+        if k % 7 == 0:
+            rec.i = (10.0 ** rng.uniform(-13, -10, n_steps)).tolist()
+        elif k % 11 == 0:
+            rec.i[n_steps // 2:] = [1.7e308] * (n_steps - n_steps // 2)
+    v_bts = []
+    for trace in ramp_traces(ds):
+        try:
+            v_bts.append(detect_breakdown(trace).v_bt)
+        except NoBreakdownError:
+            pass
+    rep = analyze(ds, stages=("bkd",))
+    assert rep.n_ramps == len(ds.ramp)
+    assert rep.n_breakdowns == len(v_bts) < rep.n_ramps
+    assert rep.n_censored == rep.n_ramps - len(v_bts)
+    assert rep.v_bt_v == float(np.mean(v_bts))
+    assert rep.v_bt_sd_v == float(np.std(v_bts, ddof=1))
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({2: "uneven", 4: "nan"}, "ramp voltages must advance in constant steps of "
+                              "step_v (within 1%)"),
+    ({4: "uneven", 2: "nan"}, "v and i must be finite"),
+])
+def test_analyze_refuses_the_first_faulty_ramp_in_memory(faults, message):
+    # the readers refuse these ramps; an in-memory dataset reaches analyze
+    ds = generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset
+    for k, fault in faults.items():
+        if fault == "uneven":
+            ds.ramp[k].v[7] += 0.003
+        else:
+            ds.ramp[k].i[3] = math.nan
+    with pytest.raises(ValueError) as refused:
+        analyze(ds)
+    assert str(refused.value) == message
+
+
+def test_overflowing_v_bt_spread_is_a_stage_error():
+    # the readers accept ramps near 1e160 V; the sample sd of their breakdown
+    # voltages overflows
+    ds = generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset
+    for rec in ds.ramp:
+        rec.v = [x * 1e160 for x in rec.v]
+        rec.step_v *= 1e160
+    rep = analyze(loads_text(dumps_text(ds)))
+    assert rep.n_breakdowns == rep.n_ramps > 2
+    assert rep.v_bt_v is None and rep.v_bt_sd_v is None
+    assert [(stage, msg.split(" (")[0]) for stage, msg in rep.stage_errors] == \
+        [("bkd", "V_BT statistics overflow")]
+    render_text(rep)
+    render_json(rep)
 
 
 def test_stage_subsets(clean_ds):
