@@ -280,10 +280,11 @@ def _fmt(x: float) -> str:
 
 
 def _pairs(v: list[float], i: list[float]) -> str:
-    return " ".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in zip(v, i))
+    # map/zip/join run per value in C; each value is still repr(float(x))
+    return " ".join(map(":".join, zip(map(repr, map(float, v)), map(repr, map(float, i)))))
 
 
-def _text_tokens(rec, schema):
+def _text_tokens(rec, schema, kind: str, n: int):
     for name, ftype in schema:
         x = getattr(rec, name)
         if ftype is _INDEX:
@@ -291,6 +292,9 @@ def _text_tokens(rec, schema):
         elif ftype is not _SERIES:
             yield "X" if x is None else _fmt(x)
         elif name == "v":
+            if len(x) != len(rec.i):
+                raise _fault(DatasetSchemaError, f"v and i differ in length "
+                             f"({len(x)} vs {len(rec.i)})", f"{kind} record {n}")
             yield f"{len(x)} {_pairs(x, rec.i)}"
 
 
@@ -303,8 +307,8 @@ def dumps_text(ds: DatasetFile) -> str:
         lines.append("wafer " + " ".join(f"{k}={v}" for k, v in ds.wafer.items()))
     lines.extend(f"meta {key}={value}" for key, value in ds.meta.items())
     for kind, (_, schema) in _SCHEMA.items():
-        for rec in getattr(ds, kind):
-            lines.append(" ".join([kind, *_text_tokens(rec, schema)]))
+        for n, rec in enumerate(getattr(ds, kind)):
+            lines.append(" ".join([kind, *_text_tokens(rec, schema, kind, n)]))
     return "\n".join(lines) + "\n"
 
 

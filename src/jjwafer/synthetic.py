@@ -28,8 +28,15 @@ counts, the generating parameters) rides along in the dataset metadata as a
 JSON snapshot, so analysis results can always be compared with what produced
 them.  The generator writes dataset records; the in-memory views of
 SyntheticDataset come from the same materializers analyze() reads a file
-with.  It walks the probed dies once, in row-major order: every die draws
+with, built on first use, so a caller that only saves the dataset never pays
+for them.  It walks the probed dies once, in row-major order: every die draws
 its thickness and dead flag, and a live die its capacitance cells and ramp.
+
+One call builds one Philox generator and, before each stream's draws, resets
+its state to the start of that stream: zero counter, empty buffer, key
+(seed, stream_id).  That is exactly the state a fresh Philox(key=...) has
+(counter-based generators are cheap to re-key; Salmon et al., SC'11), so the
+draws do not depend on which stream ran before.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,16 +107,34 @@ _POST_JUMP_FLOOR_A = 1e-6
 _DEFAULT_MASK_RADIUS = math.sqrt(42.5)
 
 
-def _stream(seed: int, row: int, col: int, tag: int) -> np.random.Generator:
+def _new_rng() -> np.random.Generator:
+    """A Philox generator for _stream to reset; its own seed is never drawn from."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _reset(rng: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
+    """rng at the start of stream (seed, stream_id), in the state a fresh
+    Philox(key=[seed, stream_id]) has: zero counter, nothing buffered."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, stream_id)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _stream(rng: np.random.Generator, seed: int, row: int, col: int,
+            tag: int) -> np.random.Generator:
     # the 4096 stride is part of the determinism contract; WaferSpec keeps
     # rows and cols within MAX_GRID = 4096, so no two dies share a key
-    key = np.array([seed, (row * 4096 + col) * 8 + tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _reset(rng, seed, (row * 4096 + col) * 8 + tag)
 
 
-def _wafer_stream(seed: int, tag: int) -> np.random.Generator:
-    key = np.array([seed, _WAFER_STREAM_BASE + tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _wafer_stream(rng: np.random.Generator, seed: int, tag: int) -> np.random.Generator:
+    return _reset(rng, seed, _WAFER_STREAM_BASE + tag)
 
 
 def intrinsic_breakdown_field_sample(rng: np.random.Generator, mean_mv_cm: float,
@@ -143,7 +169,7 @@ def bimodal_field_sample(n: int, defect_fraction: float, defect_mean: float,
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     n_def = int(round(defect_fraction * n))
-    rng = _wafer_stream(seed, 7)
+    rng = _wafer_stream(_new_rng(), seed, 7)
     fields = np.empty(n)
     if n_def:
         fields[:n_def] = intrinsic_breakdown_field_sample(
@@ -215,6 +241,8 @@ class WaferSpec:
     defect_field_rsd_pct: float = 15.0
 
     def __post_init__(self):
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be an integer in 0..2**64-1, got {self.seed!r}")
         if not (1 <= self.rows <= MAX_GRID and 1 <= self.cols <= MAX_GRID):
             raise ValueError(f"rows and cols must lie in 1..{MAX_GRID}")
         if len(set(self.cap_areas_um2)) != len(self.cap_areas_um2):
@@ -269,15 +297,33 @@ def preset_spec(name: str, seed: int = 0, **overrides) -> WaferSpec:
 
 @dataclass
 class SyntheticDataset:
-    """In-memory result of generate_wafer, plus the serializable container."""
+    """Result of generate_wafer: the serializable container and its truth.
+
+    maps (one per probed area, in spec order), iv_curves, ramps and
+    resistance_records are views of dataset, each built by its materializer
+    on first access and kept.
+    """
 
     spec: WaferSpec
-    maps: dict[float, WaferMap]
-    iv_curves: list[IVCurve]
-    ramps: list[RampTrace]
-    resistance_records: list[ResistanceRecord]
     ground_truth: dict
     dataset: DatasetFile
+
+    @cached_property
+    def maps(self) -> dict[float, WaferMap]:
+        return {a: cap_wafer_map(self.dataset, a)
+                for a in map(float, self.spec.cap_areas_um2)}
+
+    @cached_property
+    def iv_curves(self) -> list[IVCurve]:
+        return iv_curves(self.dataset)
+
+    @cached_property
+    def ramps(self) -> list[RampTrace]:
+        return ramp_traces(self.dataset)
+
+    @cached_property
+    def resistance_records(self) -> list[ResistanceRecord]:
+        return resistance_records(self.dataset)
 
 
 def _nan_to_none(grid: np.ndarray) -> list:
@@ -315,29 +361,30 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     v_bt_map = np.full((rows, cols), np.nan)
     defect_count_map = np.full((rows, cols), -1, dtype=int)
     ramp = []
+    rng = _new_rng()
     probed_rows, probed_cols = (idx.tolist() for idx in np.nonzero(probed))
     for r, c in zip(probed_rows, probed_cols):
         # thickness: radial bow and per-die jitter
-        z = _stream(seed, r, c, _TAG_THICKNESS).normal()
+        z = _stream(rng, seed, r, c, _TAG_THICKNESS).normal()
         jitter = 1.0 + spec.thickness_jitter_pct / 100.0 * z
         t = spec.t_ox_nm * (1.0 + spec.thickness_gradient_pct / 100.0 * bow[r, c]) * jitter
         t = t_map[r, c] = float(max(t, 0.05 * spec.t_ox_nm))
-        dead[r, c] = _stream(seed, r, c, _TAG_DEAD).uniform() < spec.dead_die_rate
+        dead[r, c] = _stream(rng, seed, r, c, _TAG_DEAD).uniform() < spec.dead_die_rate
         if dead[r, c]:
             continue
 
         # capacitance, one cell per probed area
         noise = _relative_noise(
-            _stream(seed, r, c, _TAG_CAP), spec.cap_noise_pct, len(areas)
+            _stream(rng, seed, r, c, _TAG_CAP), spec.cap_noise_pct, len(areas)
         )
         cap_values[:, r, c] = f_to_ff(eps_area / nm_to_m(t)) * noise
 
         # breakdown ramp: weakest link of intrinsic film and Poisson defects
         e_int = intrinsic_breakdown_field_sample(
-            _stream(seed, r, c, _TAG_INTRINSIC),
+            _stream(rng, seed, r, c, _TAG_INTRINSIC),
             spec.intrinsic_field_mv_cm, spec.intrinsic_field_rsd_pct,
         )
-        defect_rng = _stream(seed, r, c, _TAG_DEFECT)
+        defect_rng = _stream(rng, seed, r, c, _TAG_DEFECT)
         n_def = int(defect_rng.poisson(spec.defect_density_cm2 * area_cm2))
         e_fail = e_int
         if n_def:
@@ -360,7 +407,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
             i = i.copy()
             i[jump_at:] = i[jump_at:] * _POST_JUMP_GAIN + _POST_JUMP_FLOOR_A
             v_bt_map[r, c] = v_ramp[jump_at]
-        i = i * _relative_noise(_stream(seed, r, c, _TAG_RAMP_NOISE),
+        i = i * _relative_noise(_stream(rng, seed, r, c, _TAG_RAMP_NOISE),
                                 spec.iv_noise_pct, n_steps)
         ramp.append(RampRecord(row=r, col=c, area_um2=spec.ramp_area_um2,
                                step_v=spec.ramp_step_v,
@@ -396,7 +443,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
             beta=spec.beta, m_rel=spec.m_rel, fn_scale=fn_scale,
         )
         i = composite_current(v_sweep, spec.iv_area_um2, die_model)
-        i = i * _relative_noise(_stream(seed, r, c, _TAG_IV), spec.iv_noise_pct,
+        i = i * _relative_noise(_stream(rng, seed, r, c, _TAG_IV), spec.iv_noise_pct,
                                 v_sweep.size)
         iv.append(IVRecord(row=r, col=c, area_um2=spec.iv_area_um2,
                            v=v_sweep.tolist(), i=i.tolist()))
@@ -413,7 +460,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
              for w in spec.res_w_bot_series_um]
     geoms += [JunctionGeometry(w_top=w, w_bot=spec.res_w_bot_um, h=spec.res_h_um)
               for w in spec.res_w_top_series_um]
-    res_noise = _relative_noise(_wafer_stream(seed, _TAG_RES), spec.res_noise_pct,
+    res_noise = _relative_noise(_wafer_stream(rng, seed, _TAG_RES), spec.res_noise_pct,
                                 len(geoms))
     res = [
         ResRecordRow(w_top_um=g.w_top, w_bot_um=g.w_bot, h_um=g.h,
@@ -450,12 +497,4 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
         "ground_truth": json.dumps(ground_truth, sort_keys=True),
     }
     dataset = DatasetFile(wafer=wafer, meta=meta, cap=cap, iv=iv, res=res, ramp=ramp)
-    return SyntheticDataset(
-        spec=spec,
-        maps={a: cap_wafer_map(dataset, a) for a in areas},
-        iv_curves=iv_curves(dataset),
-        ramps=ramp_traces(dataset),
-        resistance_records=resistance_records(dataset),
-        ground_truth=ground_truth,
-        dataset=dataset,
-    )
+    return SyntheticDataset(spec=spec, ground_truth=ground_truth, dataset=dataset)

@@ -219,6 +219,20 @@ def test_writer_rejects_unserializable_keys():
         dumps_text(ds)
 
 
+def test_text_writer_refuses_unequal_series_before_writing(tmp_path):
+    ds = generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset
+    ds.ramp[0].i.pop()
+    path = tmp_path / "w.jjw"
+    with pytest.raises(DatasetSchemaError,
+                       match=r"^ramp record 0: v and i differ in length \(300 vs 299\)$"):
+        save_dataset(ds, str(path), fmt="text")
+    assert not path.exists()
+    ds.ramp[0].i.append(0.0)
+    ds.iv[2].v.append(3.0)
+    with pytest.raises(DatasetSchemaError, match=r"^iv record 2: .* \(62 vs 61\)$"):
+        dumps_text(ds)
+
+
 # --- json parser validation ---
 
 

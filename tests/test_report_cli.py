@@ -240,9 +240,8 @@ def test_wafer_grid_round_trip(tmp_path):
     # unprobed and dead cells are both empty fields
     assert body.count(",") == 4
     assert [len(line.split(",")) for line in body.splitlines()] == [3, 3]
-    sidecar = dict(
-        line.split("=", 1) for line in open(path + ".meta").read().splitlines()
-    )
+    with open(path + ".meta") as fh:
+        sidecar = dict(line.split("=", 1) for line in fh.read().splitlines())
     assert sidecar["label"] == "ref"
     assert (int(sidecar["rows"]), int(sidecar["cols"])) == (2, 3)
     assert int(sidecar["n_valid"]) == 4 and int(sidecar["n_probed"]) == 5
@@ -312,6 +311,21 @@ def test_cli_invalid_inputs(tmp_path, capsys):
                    "--out", str(tmp_path / "x.jjw")) == EXIT_INVALID
     assert run_cli("nonsense") == EXIT_INVALID
     assert run_cli() == EXIT_INVALID
+    capsys.readouterr()
+
+
+def test_cli_simulate_refuses_out_of_range_seeds(tmp_path, capsys):
+    out = tmp_path / "w.jjw"
+    for argv in (("--seed", "-1"), ("--seed", str(2**64)),
+                 ("--preset", "etch20", "--seed", "-1"), ("--set", "seed=-5")):
+        assert run_cli("simulate", "--out", str(out), *argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("jjwafer: error: seed must be an integer in 0..2**64-1")
+        assert "Traceback" not in err
+    assert not out.exists()
+    assert run_cli("simulate", "--out", str(out), "--seed", str(2**64 - 1),
+                   "--set", "rows=4", "--set", "cols=4") == EXIT_OK
+    assert load_dataset(str(out)).meta["seed"] == str(2**64 - 1)
     capsys.readouterr()
 
 

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from jjwafer import dataset as dataset_module, synthetic
 from jjwafer.breakdown import detect_breakdown
 from jjwafer.dataset import (
     cap_wafer_map,
+    dumps_json,
     dumps_text,
     iv_curves,
     load_dataset,
@@ -73,11 +75,15 @@ def test_generation_is_byte_deterministic():
     assert a == b
 
 
-# SHA-256 of dumps_text per (preset, seed): generated datasets are
-# byte-identical per seed, whatever the generator's internals
+# SHA-256 of dumps_text and dumps_json per (preset, seed): generated
+# datasets are byte-identical per seed, whatever the generator's internals
 GOLDEN_TEXT_SHA256 = {
     ("ref", 0): "3f8a11e1376c943453fb0711eb6bed783579195caa817079bf1f5ff655df657f",
     ("etch30", 3): "b14c032e5d6e1d437dbbc4e8fa2b5f963288766f4707b13e72972d04ed702aa5",
+}
+GOLDEN_JSON_SHA256 = {
+    ("ref", 0): "d82de2da693936ea8fd1fe132346cd8fce67b1c2eece1ce57fcb3879c6f120e8",
+    ("etch30", 3): "156b87cd7b4c65efdfd8d20b76c0e660993dd9561a537469f900326afef05e94",
 }
 
 
@@ -86,6 +92,70 @@ def test_generated_text_matches_its_golden_digest(preset, seed):
     text = dumps_text(generate_wafer(preset_spec(preset, seed)).dataset)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_TEXT_SHA256[preset, seed]
+
+
+@pytest.mark.parametrize("preset, seed", sorted(GOLDEN_JSON_SHA256))
+def test_generated_json_matches_its_golden_digest(preset, seed):
+    text = dumps_json(generate_wafer(preset_spec(preset, seed)).dataset)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_JSON_SHA256[preset, seed]
+
+
+def _fresh(seed, stream_id):
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _draws(rng):
+    # a 32-bit draw first: it would read a stale has_uint32 half
+    return [*rng.random(3, dtype=np.float32), rng.normal(), rng.uniform(),
+            rng.poisson(0.3), rng.poisson(40.0), *rng.normal(2.0, 0.5, size=7),
+            *rng.integers(0, 1 << 40, size=5), rng.integers(0, 7, dtype=np.int32),
+            rng.normal()]
+
+
+def test_reset_stream_draws_what_a_fresh_generator_draws():
+    rng = synthetic._new_rng()
+    keys = [(0, 0), (0, 1), (7, (3 * 4096 + 5) * 8 + 6),
+            (2**64 - 1, synthetic._WAFER_STREAM_BASE), (2**64 - 1, 2**64 - 1)]
+    for seed, stream_id in keys:
+        # leave the shared generator mid-buffer with a stale 32-bit half
+        rng.integers(0, 1 << 40, size=2)
+        if not rng.bit_generator.state["has_uint32"]:
+            rng.random(dtype=np.float32)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        assert _draws(synthetic._reset(rng, seed, stream_id)) == _draws(_fresh(seed, stream_id))
+    assert (synthetic._stream(rng, 5, 3, 9, 2).normal()
+            == _fresh(5, (3 * 4096 + 9) * 8 + 2).normal())
+    assert (synthetic._wafer_stream(rng, 5, 0).uniform()
+            == _fresh(5, synthetic._WAFER_STREAM_BASE).uniform())
+
+
+_VIEWS = {"cap_wafer_map": "maps", "iv_curves": "iv_curves",
+          "ramp_traces": "ramps", "resistance_records": "resistance_records"}
+
+
+def test_views_are_built_on_first_use_and_once(tmp_path, monkeypatch):
+    spec = WaferSpec(rows=6, cols=6, seed=3)
+    for name in _VIEWS:
+        def refuse(*args, _name=name):
+            raise AssertionError(f"{_name} called")
+        monkeypatch.setattr(synthetic, name, refuse)
+    gen = generate_wafer(spec)
+    save_dataset(gen.dataset, str(tmp_path / "w.jjw"))
+    save_dataset(gen.dataset, str(tmp_path / "w.json"))
+
+    calls = dict.fromkeys(_VIEWS, 0)
+    for name in _VIEWS:
+        def counted(*args, _name=name, _fn=getattr(dataset_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(synthetic, name, counted)
+    for name, view in _VIEWS.items():
+        assert getattr(gen, view) is getattr(gen, view)
+    assert calls == {"cap_wafer_map": len(spec.cap_areas_um2), "iv_curves": 1,
+                     "ramp_traces": 1, "resistance_records": 1}
 
 
 def test_die_draws_do_not_depend_on_grid_size():
@@ -223,3 +293,8 @@ def test_spec_validation():
         WaferSpec(defect_density_cm2=-1.0)
     with pytest.raises(ValueError):
         generate_wafer(WaferSpec(mask_radius=0.1))
+    for seed in (-1, 2**64, 1.0, True, np.int64(3), "3"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in 0\.\.2\*\*64-1"):
+            WaferSpec(seed=seed)
+    assert generate_wafer(WaferSpec(rows=2, cols=2, seed=2**64 - 1)).dataset.meta["seed"] \
+        == str(2**64 - 1)
