@@ -34,7 +34,7 @@ from .errors import (
     NoBreakdownError,
     NoKneeError,
 )
-from .transport import sweep_arrays
+from .transport import sweep_arrays, sweep_faults
 
 __all__ = [
     "RampTrace",
@@ -87,19 +87,17 @@ def ramp_faults(v: np.ndarray, i: np.ndarray, step_v: np.ndarray) -> np.ndarray:
     """Rows of a ramp block that RampTrace refuses.
 
     v, i are (ramps, steps) float arrays and step_v holds one declared step
-    per row.  A row is at fault when transport.sweep_arrays or
-    check_ramp_steps would refuse it: fewer than 2 points, a non-finite
-    value, v not strictly increasing, or steps off the rule.  The arithmetic
-    is the scalar rules' own, row by row, so the verdicts agree exactly.
+    per row.  A row is at fault when transport.sweep_faults flags it or
+    check_ramp_steps would refuse it.  The arithmetic is the scalar rules'
+    own, row by row, so the verdicts agree exactly.
     """
+    faulty = sweep_faults(v, i)
     if v.shape[1] < 2:
-        return np.ones(len(v), dtype=bool)
-    # a row already at fault may overflow or turn to nan in the later rules;
+        return faulty
+    # a row already at fault may overflow or turn to nan in the step rule;
     # RampTrace reports it, with its own warnings
     with np.errstate(over="ignore", invalid="ignore"):
         steps = np.diff(v, axis=1)
-        faulty = ~(np.isfinite(v).all(axis=1) & np.isfinite(i).all(axis=1)
-                   & (steps > 0.0).all(axis=1))
         mean = steps.mean(axis=1)
         np.subtract(steps, mean[:, np.newaxis], out=steps)
         np.abs(steps, out=steps)

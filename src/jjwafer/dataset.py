@@ -30,14 +30,19 @@ same for both formats:
 * v and i have equal length >= 2, and v strictly increases
   (transport.sweep_arrays, which IVCurve and RampTrace apply too)
 * ramp voltages advance in constant steps of step_v
-  (breakdown.check_ramp_steps, which RampTrace applies too; ramp_blocks
-  applies both rules to a wafer's ramps at once, through breakdown.ramp_faults)
+  (breakdown.check_ramp_steps, which RampTrace applies too)
 * no two cap records share a die and an area
 * wafer rows/cols, when present, are integers in [1, MAX_GRID], and every
   die lies inside them
 * wafer and meta entries survive the text format (_check_attrs)
 
-Errors carry the 1-based line number (text) or name the record, e.g.
+The checker applies the scalar, duplicate-cell and extent rules as records
+arrive, and the two series rules above per block: it queues the sweeps and
+ramps and checks them stacked by kind and length (transport.sweep_faults,
+breakdown.ramp_faults), as ramp_blocks does for analyze().  Errors are still
+raised in file order: a reader flushes the queue before any later error
+propagates, and the first faulty series re-runs its scalar rule for the
+message.  Errors carry the 1-based line number (text) or name the record, e.g.
 "ramp record 3" (JSON).  Writers are atomic: content goes to a temp file in
 the target directory which is then renamed over the destination.
 
@@ -67,7 +72,7 @@ from .errors import (
 )
 from .geometry import JunctionGeometry
 from .resistance import ResistanceRecord
-from .transport import IVCurve, sweep_arrays
+from .transport import IVCurve, sweep_arrays, sweep_faults
 
 __all__ = [
     "FORMAT_NAME",
@@ -166,7 +171,8 @@ class DatasetFile:
 
 # The record dataclasses are the schema: fields in text column order, field
 # names as JSON keys, and the annotation picks each field's kind, named by the
-# type a reader must produce; _Checker applies the ranges.
+# type a reader must produce; _Checker applies the ranges.  Each kind maps to
+# its class, its fields and, in the same order, its scalar fields.
 _INDEX = "an integer"            # die row or col, in [0, MAX_GRID)
 _POSITIVE = "a number"           # finite and > 0
 _READING = "a number or null"    # finite; None marks a dead cell (`X` in text)
@@ -174,9 +180,10 @@ _SERIES = "a list of numbers"    # v and i; text writes a count, then v:i pairs
 _KINDS = {"int": _INDEX, "float": _POSITIVE, "float | None": _READING,
           "list[float]": _SERIES}
 _SCHEMA = {
-    kind: (cls, tuple((f.name, _KINDS[f.type]) for f in fields(cls)))
+    kind: (cls, schema, tuple(f for f in schema if f[1] is not _SERIES))
     for kind, cls in (("cap", CapRecord), ("iv", IVRecord), ("res", ResRecordRow),
                       ("ramp", RampRecord))
+    for schema in [tuple((f.name, _KINDS[f.type]) for f in fields(cls))]
 }
 
 
@@ -223,20 +230,34 @@ def _check_extent(limits, top) -> None:
                          f"the declared grid of {limit} {axis}s", where)
 
 
+def _check_series(kind: str, rec, where) -> None:
+    """The series rules on one sweep or ramp, raising the first one's error."""
+    try:
+        v, _ = sweep_arrays(rec.v, rec.i)
+        if kind == "ramp":
+            check_ramp_steps(v, rec.step_v)
+    except ValueError as exc:
+        raise _fault(DatasetSchemaError, str(exc), where) from None
+
+
 class _Checker:
-    """The schema's value rules, fed one dataset in file order by a reader."""
+    """The schema's value rules, fed one dataset in file order by a reader.
+
+    The series rules wait in a queue for flush(), which a reader calls before
+    it lets any later DatasetError propagate, and finish() calls last."""
 
     def __init__(self):
         self.limits: tuple[int | None, int | None] = (None, None)
         self.top = [(-1, None), (-1, None)]  # largest row and col, and where
         self.cells: set[tuple[int, int, float]] = set()
+        self.series: list[tuple[str, object, object]] = []  # (kind, rec, where)
 
     def wafer(self, wafer: dict[str, str], where) -> None:
         _check_attrs("wafer", wafer, where)
         self.limits = _grid_limits(wafer, where)
 
     def record(self, kind: str, rec, where) -> None:
-        for name, ftype in _SCHEMA[kind][1]:
+        for name, ftype in _SCHEMA[kind][2]:
             x = getattr(rec, name)
             if ftype is _INDEX:
                 if not 0 <= x < MAX_GRID:
@@ -262,15 +283,51 @@ class _Checker:
                              where)
             self.cells.add(cell)
             return
-        try:
-            v, _ = sweep_arrays(rec.v, rec.i)
-            if kind == "ramp":
-                check_ramp_steps(v, rec.step_v)
-        except ValueError as exc:
-            raise _fault(DatasetSchemaError, str(exc), where) from None
+        self.series.append((kind, rec, where))
+
+    def flush(self) -> None:
+        """Apply the series rules to the queued records, a block per kind and
+        length; the first faulty one in file order raises its own error."""
+        queue, self.series = self.series, []
+        faulty = np.zeros(len(queue), dtype=bool)
+        for kind in ("iv", "ramp"):
+            at = np.flatnonzero([entry[0] == kind for entry in queue])
+            records = [queue[k][1] for k in at]
+            bad = np.zeros(len(records), dtype=bool)
+            step_v = np.array(list(map(_STEP_V, records))) if kind == "ramp" else None
+            for rows, v, i in _stack(records, bad):
+                bad[rows] = (sweep_faults(v, i) if kind == "iv"
+                             else ramp_faults(v, i, step_v[rows]))
+            faulty[at] = bad
+        for entry in compress(queue, faulty):
+            _check_series(*entry)
 
     def finish(self) -> None:
+        self.flush()
         _check_extent(self.limits, self.top)
+
+
+_V, _I = operator.attrgetter("v"), operator.attrgetter("i")
+_STEP_V = operator.attrgetter("step_v")
+_ROW, _COL = operator.attrgetter("row"), operator.attrgetter("col")
+
+
+def _stack(records: list, faulty: np.ndarray):
+    """The series of the records stacked by length, ascending: yields (rows,
+    v, i), rows the positions in records of the rows of the (rows, length)
+    float blocks v and i.  Records whose v and i differ in length are marked
+    in faulty first; no marked record is stacked."""
+    n = len(records)
+    sizes = np.fromiter(map(len, map(_V, records)), int, n)
+    faulty |= sizes != np.fromiter(map(len, map(_I, records)), int, n)
+    for size in sorted(set(sizes[~faulty].tolist())):
+        take = (sizes == size) & ~faulty
+        rows = np.flatnonzero(take)
+        group = list(compress(records, take))
+        v, i = (np.fromiter(chain.from_iterable(map(get, group)), float,
+                            rows.size * size).reshape(rows.size, size)
+                for get in (_V, _I))
+        yield rows, v, i
 
 
 # ---------------------------------------------------------------- text format
@@ -306,7 +363,7 @@ def dumps_text(ds: DatasetFile) -> str:
     if ds.wafer:
         lines.append("wafer " + " ".join(f"{k}={v}" for k, v in ds.wafer.items()))
     lines.extend(f"meta {key}={value}" for key, value in ds.meta.items())
-    for kind, (_, schema) in _SCHEMA.items():
+    for kind, (_, schema, _) in _SCHEMA.items():
         for n, rec in enumerate(getattr(ds, kind)):
             lines.append(" ".join([kind, *_text_tokens(rec, schema, kind, n)]))
     return "\n".join(lines) + "\n"
@@ -320,44 +377,62 @@ def _parse(cast: type, tok: str, what: str, line: int):
         raise DatasetFormatError(f"{what} must be {kind}, got {tok!r}", line=line) from None
 
 
-def _parse_pairs(toks: list[str], npts: int, line: int) -> tuple[list[float], list[float]]:
+def _parse_pairs(toks: list[str], npts: int, line: int,
+                 memo: list) -> tuple[list[float], list[float]]:
+    """v and i of one series.  memo holds the previous series' v tokens and
+    their floats: ramps step along one programmed staircase, so most series
+    repeat the v tokens of the one before and reuse its floats."""
     if len(toks) != npts:
         raise DatasetFormatError(
             f"expected {npts} v:i pairs, found {len(toks)}", line=line
         )
     flat = ":".join(toks).split(":") if toks else []
     # 2 * npts values with a colon in every token: exactly one colon in each
-    if len(flat) != 2 * npts or not all(":" in tok for tok in toks):
+    if len(flat) != 2 * npts or not all(map(operator.contains, toks, repeat(":"))):
         bad = next(tok for tok in toks if tok.count(":") != 1)
         raise DatasetFormatError(f"malformed v:i pair {bad!r}", line=line)
+    v_toks = flat[0::2]
     try:
-        values = list(map(float, flat))
+        if v_toks != memo[0]:
+            memo[:] = v_toks, list(map(float, v_toks))
+        return list(memo[1]), list(map(float, flat[1::2]))
     except ValueError:
-        values = [_parse(float, x, "vi"[k % 2], line) for k, x in enumerate(flat)]
-    return values[0::2], values[1::2]
+        for k, x in enumerate(flat):  # name the first bad token in file order
+            _parse(float, x, "vi"[k % 2], line)
+        raise
 
 
-def _text_record(kind: str, toks: list[str], line: int):
-    cls, schema = _SCHEMA[kind]
-    scalars = [f for f in schema if f[1] is not _SERIES]
-    n, values = len(scalars), {}
+def _text_record(kind: str, toks: list[str], line: int, memo: list):
+    cls, schema, scalars = _SCHEMA[kind]
+    n, series = len(scalars), ()
     if n < len(schema) and len(toks) > n:  # a count, then v:i pairs
         npts = _parse(int, toks[n], "point count", line)
-        values["v"], values["i"] = _parse_pairs(toks[n + 1:], npts, line)
+        series = _parse_pairs(toks[n + 1:], npts, line, memo)
     elif n < len(schema):
         raise DatasetFormatError(f"{kind} record too short", line=line)
     elif len(toks) != n:
         raise DatasetFormatError(f"{kind} record needs {n} fields, got {len(toks)}",
                                  line=line)
-    for (name, ftype), tok in zip(scalars, toks):
-        values[name] = None if ftype is _READING and tok == "X" else \
-            _parse(int if ftype is _INDEX else float, tok, name, line)
-    return cls(**values)
+    # the series fields come last, so the values go in positionally
+    return cls(*[None if ftype is _READING and tok == "X" else
+                 _parse(int if ftype is _INDEX else float, tok, name, line)
+                 for (name, ftype), tok in zip(scalars, toks)], *series)
 
 
 def loads_text(text: str) -> DatasetFile:
-    ds = DatasetFile()
     check = _Checker()
+    try:
+        ds = _read_text(text, check)
+    except DatasetError:
+        check.flush()  # a series fault on an earlier line comes first
+        raise
+    check.finish()
+    return ds
+
+
+def _read_text(text: str, check: _Checker) -> DatasetFile:
+    ds = DatasetFile()
+    memo = [None, None]  # the last series' v tokens and floats, see _parse_pairs
     seen_format = False
     seen_units = False
     seen_wafer = False
@@ -435,12 +510,11 @@ def loads_text(text: str) -> DatasetFile:
             )
         if kind not in _SCHEMA:
             raise DatasetSchemaError(f"unknown record type {kind!r}", line=line_no)
-        rec = _text_record(kind, rest.split(), line_no)
+        rec = _text_record(kind, rest.split(), line_no, memo)
         check.record(kind, rec, line_no)
         getattr(ds, kind).append(rec)
     if not seen_format:
         raise DatasetFormatError("empty dataset: missing format declaration", line=1)
-    check.finish()
     return ds
 
 
@@ -454,7 +528,7 @@ def dumps_json(ds: DatasetFile) -> str:
         "wafer": ds.wafer,
         "meta": ds.meta,
     }
-    for kind, (_, schema) in _SCHEMA.items():
+    for kind, (_, schema, _) in _SCHEMA.items():
         payload[kind] = [{name: getattr(rec, name) for name, _ in schema}
                          for rec in getattr(ds, kind)]
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
@@ -511,18 +585,22 @@ def loads_json(text: str) -> DatasetFile:
         setattr(ds, section, dict(attrs))
     check.wafer(ds.wafer, "wafer")
     _check_attrs("meta", ds.meta, "meta")
-    for kind, (cls, schema) in _SCHEMA.items():
-        records = payload.get(kind, [])
-        if not isinstance(records, list):
-            raise DatasetFormatError(f"{kind!r} must be a list of records")
-        for idx, raw in enumerate(records):
-            where = f"{kind} record {idx}"
-            if not isinstance(raw, dict):
-                raise DatasetFormatError(f"{where}: must be an object")
-            rec = cls(**{name: _json_value(raw, name, ftype, where)
-                         for name, ftype in schema})
-            check.record(kind, rec, where)
-            getattr(ds, kind).append(rec)
+    try:
+        for kind, (cls, schema, _) in _SCHEMA.items():
+            records = payload.get(kind, [])
+            if not isinstance(records, list):
+                raise DatasetFormatError(f"{kind!r} must be a list of records")
+            for idx, raw in enumerate(records):
+                where = f"{kind} record {idx}"
+                if not isinstance(raw, dict):
+                    raise DatasetFormatError(f"{where}: must be an object")
+                rec = cls(**{name: _json_value(raw, name, ftype, where)
+                             for name, ftype in schema})
+                check.record(kind, rec, where)
+                getattr(ds, kind).append(rec)
+    except DatasetError:
+        check.flush()  # a series fault in an earlier record comes first
+        raise
     check.finish()
     return ds
 
@@ -578,9 +656,8 @@ def cap_areas(ds: DatasetFile) -> list[float]:
 def _grid_shape(ds: DatasetFile) -> tuple[int, int]:
     """Declared rows/cols, each inferred from the dies when undeclared."""
     limits = _grid_limits(ds.wafer, "wafer")
-    dies = [*ds.cap, *ds.iv, *ds.ramp]
-    top = [(max((r.row for r in dies), default=-1), None),
-           (max((r.col for r in dies), default=-1), None)]
+    top = [(max(map(get, chain(ds.cap, ds.iv, ds.ramp)), default=-1), None)
+           for get in (_ROW, _COL)]
     _check_extent(limits, top)
     shape = tuple(index + 1 if limit is None else limit
                   for limit, (index, _) in zip(limits, top))
@@ -616,9 +693,6 @@ def iv_curves(ds: DatasetFile) -> list[IVCurve]:
     ]
 
 
-_V, _I = operator.attrgetter("v"), operator.attrgetter("i")
-
-
 def _ramp_trace(rec: RampRecord) -> RampTrace:
     return RampTrace(v=np.asarray(rec.v), i=np.asarray(rec.i), area_um2=rec.area_um2,
                      die=(rec.row, rec.col), step_v=rec.step_v,
@@ -638,22 +712,13 @@ def ramp_blocks(ds: DatasetFile) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
     ramp_traces raises: RampTrace's error for the first one in file order.
     """
     records = ds.ramp
-    n = len(records)
     try:
-        sizes = np.fromiter(map(len, map(_V, records)), int, n)
-        faulty = sizes != np.fromiter(map(len, map(_I, records)), int, n)
         areas = map(operator.attrgetter("area_um2"), records)
-        faulty |= ~np.fromiter(map(operator.gt, areas, repeat(0.0)), bool, n)
+        faulty = ~np.fromiter(map(operator.gt, areas, repeat(0.0)), bool, len(records))
         # unconverted, so a step_v RampTrace cannot use fails here too
-        step_v = np.array(list(map(operator.attrgetter("step_v"), records)))
+        step_v = np.array(list(map(_STEP_V, records)))
         blocks = []
-        for size in sorted(set(sizes[~faulty].tolist())):
-            take = (sizes == size) & ~faulty
-            rows = np.flatnonzero(take)
-            group = list(compress(records, take))
-            v, i = (np.fromiter(chain.from_iterable(map(get, group)), float,
-                                rows.size * size).reshape(rows.size, size)
-                    for get in (_V, _I))
+        for rows, v, i in _stack(records, faulty):
             faulty[rows] = ramp_faults(v, i, step_v[rows])
             blocks.append((rows, v, i))
     except (TypeError, ValueError, OverflowError):

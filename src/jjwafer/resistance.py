@@ -168,6 +168,10 @@ def decompose_resistances(records) -> AreaResistances:
             x = np.array([(rec.geometry.top_area(), rec.geometry.sidewall_area())
                           for rec in records])
             r = np.array([rec.r_mohm for rec in records])
+            # LAPACK reports a non-finite input on stdout; refuse it first
+            if not (np.isfinite(x).all() and np.isfinite(r).all()):
+                raise DegenerateDataError("resistance records hold a non-finite "
+                                          "junction area or resistance")
             p, steps = _fit_conductances(x, r)
             if p[1] <= _P_MIN:
                 (p_plate,), more = _fit_conductances(x[:, :1], r, x[:, 1] * _P_MIN)

@@ -107,6 +107,12 @@ _POST_JUMP_FLOOR_A = 1e-6
 _DEFAULT_MASK_RADIUS = math.sqrt(42.5)
 
 
+def _check_seed(seed) -> None:
+    """A seed is a Philox key word: an int in 0..2**64-1 (else ValueError)."""
+    if type(seed) is not int or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in 0..2**64-1, got {seed!r}")
+
+
 def _new_rng() -> np.random.Generator:
     """A Philox generator for _stream to reset; its own seed is never drawn from."""
     return np.random.Generator(np.random.Philox(0))
@@ -168,6 +174,7 @@ def bimodal_field_sample(n: int, defect_fraction: float, defect_mean: float,
         raise ValueError(f"defect_fraction must lie in [0, 1], got {defect_fraction}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    _check_seed(seed)
     n_def = int(round(defect_fraction * n))
     rng = _wafer_stream(_new_rng(), seed, 7)
     fields = np.empty(n)
@@ -241,8 +248,7 @@ class WaferSpec:
     defect_field_rsd_pct: float = 15.0
 
     def __post_init__(self):
-        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be an integer in 0..2**64-1, got {self.seed!r}")
+        _check_seed(self.seed)
         if not (1 <= self.rows <= MAX_GRID and 1 <= self.cols <= MAX_GRID):
             raise ValueError(f"rows and cols must lie in 1..{MAX_GRID}")
         if len(set(self.cap_areas_um2)) != len(self.cap_areas_um2):

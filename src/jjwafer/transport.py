@@ -49,6 +49,7 @@ __all__ = [
     "OxideModel",
     "IVCurve",
     "sweep_arrays",
+    "sweep_faults",
     "direct_tunneling_current",
     "mott_gurney_current",
     "power_law_current",
@@ -165,6 +166,18 @@ def sweep_arrays(v, i) -> tuple[np.ndarray, np.ndarray]:
     if not (np.diff(v) > 0.0).all():
         raise ValueError("v must be strictly increasing")
     return v, i
+
+
+def sweep_faults(v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Rows of a (sweeps, points) block of v and i that sweep_arrays refuses:
+    fewer than 2 points, a non-finite value, or v not strictly increasing.
+    The arithmetic is sweep_arrays' own, row by row, so the verdicts agree."""
+    if v.shape[1] < 2:
+        return np.ones(len(v), dtype=bool)
+    # a step of finite voltages may overflow to inf, which still increases
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(np.isfinite(v).all(axis=1) & np.isfinite(i).all(axis=1)
+                 & (np.diff(v, axis=1) > 0.0).all(axis=1))
 
 
 def _as_float_array(v):

@@ -10,7 +10,7 @@ import pytest
 from jjwafer.breakdown import detect_breakdown
 from jjwafer.capacitance import WaferMap
 from jjwafer.cli import EXIT_ANALYSIS, EXIT_INVALID, EXIT_IO, EXIT_OK, main
-from jjwafer.dataset import dumps_text, load_dataset, loads_text, ramp_traces
+from jjwafer.dataset import dumps_text, load_dataset, loads_text, ramp_traces, save_dataset
 from jjwafer.errors import DatasetSchemaError, NoBreakdownError
 from jjwafer.report import (
     STAGES,
@@ -299,6 +299,21 @@ def test_cli_stage_error_exit_code(tmp_path, capsys):
     assert run_cli("analyze", "iv", out) == EXIT_ANALYSIS
     assert "stage errors:" in capsys.readouterr().out
     assert run_cli("analyze", "iv", out, "--t-ox", "4.4") == EXIT_OK
+
+
+@pytest.mark.parametrize("name", ["h_um", "w_bot_um"])
+def test_overflowing_junction_area_is_a_res_stage_error(tmp_path, capfd, name):
+    # an inf design matrix used to reach LAPACK, which writes its complaint
+    # to fd 1 before numpy raises; capfd sees what a shell pipe would
+    ds = generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset
+    setattr(ds.res[0], name, 1.7976931348623157e308)
+    out = str(tmp_path / "w.jjw")
+    save_dataset(ds, out)
+    assert run_cli("analyze", "res", "--format", "json", out) == EXIT_ANALYSIS
+    payload = json.loads(capfd.readouterr().out)
+    assert payload["stage_errors"] == [
+        ["res", "DegenerateDataError: resistance records hold a non-finite "
+                "junction area or resistance"]]
 
 
 def test_cli_invalid_inputs(tmp_path, capsys):

@@ -182,6 +182,15 @@ def test_bimodal_defect_count_is_deterministic():
         bimodal_field_sample(0, 0.1, 3.2, 15.0, 4.95, 3.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, np.int64(3), "3"])
+def test_bimodal_sample_refuses_the_seeds_wafer_spec_refuses(seed):
+    with pytest.raises(ValueError) as spec_error:
+        WaferSpec(seed=seed)
+    with pytest.raises(ValueError) as sample_error:
+        bimodal_field_sample(140, 0.1, 3.2, 15.0, 4.95, 3.0, seed=seed)
+    assert str(sample_error.value) == str(spec_error.value)
+
+
 def test_field_sample_truncation_and_validation():
     rng = np.random.default_rng(0)
     s = intrinsic_breakdown_field_sample(rng, 0.5, 300.0, size=2000)
