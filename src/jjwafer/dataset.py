@@ -27,7 +27,7 @@ same for both formats:
 
 * die indices are ints in [0, MAX_GRID) (a JSON bool is not an int)
 * every other number is finite, and > 0 except a capacitance reading
-* v and i have equal length >= 2, and v strictly increases
+* v and i have equal length >= 2, and v strictly increases in finite steps
   (transport.sweep_arrays, which IVCurve and RampTrace apply too)
 * ramp voltages advance in constant steps of step_v
   (breakdown.check_ramp_steps, which RampTrace applies too)
@@ -47,7 +47,16 @@ message.  Errors carry the 1-based line number (text) or name the record, e.g.
 the target directory which is then renamed over the destination.
 
 Floats are written with repr(), which round-trips exactly, so
-load(save(ds)) == ds field for field.
+load(save(ds)) == ds field for field.  Both writers refuse a series whose v
+and i differ in length before they write anything, and each formats a
+voltage staircase once: a series equal to the one before it, with no zero
+(-0.0 == 0.0, yet the two format apart) and, in JSON, floats only, reuses
+its text.  dumps_text writes repr(float(x)) per value.  dumps_json writes
+the layout of json.dumps(payload, sort_keys=True, indent=1) itself: records
+in sorted key order, finite floats and ints with their repr, and a series of
+plain floats and ints with one call of json's C encoder, which formats
+numbers as the indent=1 encoder does; every other value goes through that
+encoder, re-indented.
 """
 
 from __future__ import annotations
@@ -336,12 +345,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _pairs(v: list[float], i: list[float]) -> str:
-    # map/zip/join run per value in C; each value is still repr(float(x))
-    return " ".join(map(":".join, zip(map(repr, map(float, v)), map(repr, map(float, i)))))
+def _check_lengths(ds: DatasetFile) -> None:
+    """Both writers refuse a series whose v and i differ in length before
+    they write anything, naming the first such record."""
+    for kind in ("iv", "ramp"):
+        for n, rec in enumerate(getattr(ds, kind)):
+            if len(rec.v) != len(rec.i):
+                raise _fault(DatasetSchemaError, f"v and i differ in length "
+                             f"({len(rec.v)} vs {len(rec.i)})", f"{kind} record {n}")
 
 
-def _text_tokens(rec, schema, kind: str, n: int):
+def _text_tokens(rec, schema, memo: list):
     for name, ftype in schema:
         x = getattr(rec, name)
         if ftype is _INDEX:
@@ -349,24 +363,29 @@ def _text_tokens(rec, schema, kind: str, n: int):
         elif ftype is not _SERIES:
             yield "X" if x is None else _fmt(x)
         elif name == "v":
-            if len(x) != len(rec.i):
-                raise _fault(DatasetSchemaError, f"v and i differ in length "
-                             f"({len(x)} vs {len(rec.i)})", f"{kind} record {n}")
-            yield f"{len(x)} {_pairs(x, rec.i)}"
+            # memo holds the previous series' v and its "repr:" prefixes, which
+            # a ramp on the same staircase reuses; -0.0 == 0.0 formats apart
+            if x != memo[0] or 0.0 in x:
+                memo[:] = x, [_fmt(u) + ":" for u in x]
+            yield f"{len(x)} " + " ".join(map(operator.add, memo[1],
+                                              map(repr, map(float, rec.i))))
 
 
 def dumps_text(ds: DatasetFile) -> str:
     _check_attrs("wafer", ds.wafer, None)
     _check_attrs("meta", ds.meta, None)
+    _check_lengths(ds)
     lines = [f"format {FORMAT_NAME} {FORMAT_VERSION}"]
     lines.append("units " + " ".join(f"{k}={v}" for k, v in CANONICAL_UNITS.items()))
     if ds.wafer:
         lines.append("wafer " + " ".join(f"{k}={v}" for k, v in ds.wafer.items()))
     lines.extend(f"meta {key}={value}" for key, value in ds.meta.items())
+    memo = [None, None]  # see _text_tokens
     for kind, (_, schema, _) in _SCHEMA.items():
-        for n, rec in enumerate(getattr(ds, kind)):
-            lines.append(" ".join([kind, *_text_tokens(rec, schema, kind, n)]))
-    return "\n".join(lines) + "\n"
+        for rec in getattr(ds, kind):
+            lines.append(" ".join([kind, *_text_tokens(rec, schema, memo)]))
+    lines.append("")  # the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def _parse(cast: type, tok: str, what: str, line: int):
@@ -520,18 +539,73 @@ def _read_text(text: str, check: _Checker) -> DatasetFile:
 
 # ---------------------------------------------------------------- json format
 
+_NUMBERS, _FLOATS = {float, int}, {float}
+
+
+def _json_text(x, newline: str, memo: list | None = None) -> str:
+    """x as json.dumps(..., sort_keys=True, indent=1) lays it out when it
+    starts on a line that newline (a newline and that line's indent) opens.
+
+    memo, passed for v, holds the previous all-float v and its text, which a
+    ramp on the same staircase reuses; -0.0 == 0.0 yet formats apart."""
+    cls = type(x)
+    if cls is float and math.isfinite(x):
+        return float.__repr__(x)
+    if cls is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    if cls is list and x and (types := set(map(type, x))) <= _NUMBERS:
+        staircase = memo is not None and types == _FLOATS
+        if staircase and x == memo[0] and 0.0 not in x:
+            return memo[1]
+        # the C encoder writes plain numbers as the indent=1 encoder does
+        inner = newline + " "
+        text = f"[{inner}{json.dumps(x)[1:-1].replace(', ', ',' + inner)}{newline}]"
+        if staircase:
+            memo[:] = x, text
+        return text
+    # no JSON string holds a raw newline, so every one here is an indent
+    return json.dumps(x, sort_keys=True, indent=1).replace("\n", newline)
+
+
+def _json_records(records: list, names: list[str]) -> list[str]:
+    """The text of a record list, in pieces that dumps_json joins once."""
+    keys = [f'"{name}": ' for name in names]
+    memo = [None, None]  # see _json_text
+    memos = [memo if name == "v" else None for name in names]
+    pieces = []
+    for rec in records:
+        fields = [key + _json_text(getattr(rec, name), "\n   ", last)
+                  for key, name, last in zip(keys, names, memos)]
+        pieces.append(",\n  {\n   " + ",\n   ".join(fields) + "\n  }")
+    if not pieces:
+        return ["[]"]
+    pieces[0] = "[" + pieces[0][1:]  # the first record takes no comma
+    pieces.append("\n ]")
+    return pieces
+
+
 def dumps_json(ds: DatasetFile) -> str:
-    payload = {
+    _check_lengths(ds)
+    head = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "units": CANONICAL_UNITS,
         "wafer": ds.wafer,
         "meta": ds.meta,
     }
-    for kind, (_, schema, _) in _SCHEMA.items():
-        payload[kind] = [{name: getattr(rec, name) for name, _ in schema}
-                         for rec in getattr(ds, kind)]
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    pieces = ["{"]
+    for key in sorted([*head, *_SCHEMA]):
+        pieces.append(f'\n "{key}": ')
+        if key in head:
+            pieces.append(_json_text(head[key], "\n "))
+        else:
+            names = sorted(name for name, _ in _SCHEMA[key][1])
+            pieces += _json_records(getattr(ds, key), names)
+        pieces.append(",")
+    pieces[-1] = "\n}\n"
+    return "".join(pieces)
 
 
 def _json_value(rec: dict, name: str, ftype: str, where: str):

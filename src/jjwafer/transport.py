@@ -163,21 +163,26 @@ def sweep_arrays(v, i) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"a sweep needs at least 2 points, got {v.size}")
     if not (np.isfinite(v).all() and np.isfinite(i).all()):
         raise ValueError("v and i must be finite")
-    if not (np.diff(v) > 0.0).all():
+    with np.errstate(over="ignore"):  # a step of finite voltages may overflow
+        steps = np.diff(v)
+    if not (steps > 0.0).all():
         raise ValueError("v must be strictly increasing")
+    if not np.isfinite(steps).all():
+        raise ValueError("v must advance in finite steps")
     return v, i
 
 
 def sweep_faults(v: np.ndarray, i: np.ndarray) -> np.ndarray:
     """Rows of a (sweeps, points) block of v and i that sweep_arrays refuses:
-    fewer than 2 points, a non-finite value, or v not strictly increasing.
-    The arithmetic is sweep_arrays' own, row by row, so the verdicts agree."""
+    fewer than 2 points, a non-finite value, v not strictly increasing, or a
+    step that overflows.  The arithmetic is sweep_arrays' own, row by row, so
+    the verdicts agree."""
     if v.shape[1] < 2:
         return np.ones(len(v), dtype=bool)
-    # a step of finite voltages may overflow to inf, which still increases
     with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(v, axis=1)
         return ~(np.isfinite(v).all(axis=1) & np.isfinite(i).all(axis=1)
-                 & (np.diff(v, axis=1) > 0.0).all(axis=1))
+                 & ((steps > 0.0) & np.isfinite(steps)).all(axis=1))
 
 
 def _as_float_array(v):
