@@ -203,7 +203,7 @@ def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
         ext = "json" if fmt == "json" else "txt"
         target = os.path.join(out_dir, f"{_stem(path)}.report.{ext}")
         try:
-            atomic_write_text(target, rendered)
+            atomic_write_text(target, [rendered])
             if with_grids:
                 for area in cap_areas(ds):
                     grid_path = os.path.join(

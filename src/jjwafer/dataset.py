@@ -43,20 +43,30 @@ breakdown.ramp_faults), as ramp_blocks does for analyze().  Errors are still
 raised in file order: a reader flushes the queue before any later error
 propagates, and the first faulty series re-runs its scalar rule for the
 message.  Errors carry the 1-based line number (text) or name the record, e.g.
-"ramp record 3" (JSON).  Writers are atomic: content goes to a temp file in
-the target directory which is then renamed over the destination.
+"ramp record 3" (JSON).  load_dataset holds a file's text only until it is
+split: the text reader gets its lines and lets each one go once it is
+parsed, the JSON reader gets json.loads' values.
+
+Writers are atomic: content goes to a temp file in the target directory
+which is then renamed over the destination.  Each format's writer is a
+generator of pieces, a text line or a JSON record each: dumps_text and
+dumps_json join them, and save_dataset streams them to the temp file in
+batches of about 1 MB, so no file is held whole.  A fault met while
+streaming removes the temp file and leaves the destination as it was.
 
 Floats are written with repr(), which round-trips exactly, so
-load(save(ds)) == ds field for field.  Both writers refuse a series whose v
-and i differ in length before they write anything, and each formats a
-voltage staircase once: a series equal to the one before it, with no zero
-(-0.0 == 0.0, yet the two format apart) and, in JSON, floats only, reuses
-its text.  dumps_text writes repr(float(x)) per value.  dumps_json writes
-the layout of json.dumps(payload, sort_keys=True, indent=1) itself: records
-in sorted key order, finite floats and ints with their repr, and a series of
-plain floats and ints with one call of json's C encoder, which formats
-numbers as the indent=1 encoder does; every other value goes through that
-encoder, re-indented.
+load(save(ds)) == ds field for field.  Before they write anything, both
+writers refuse wafer and meta entries that the text format cannot hold
+(dumps_json with the error loads_json raises for them) and a series whose v
+and i differ in length.  Each writer formats a voltage staircase once: a
+series equal to the one before it, with no zero (-0.0 == 0.0, yet the two
+format apart) and, in JSON, floats only, reuses its text.  dumps_text
+writes repr(float(x)) per value.  dumps_json writes the layout of
+json.dumps(payload, sort_keys=True, indent=1) itself: records in sorted key
+order, finite floats and ints with their repr, and a series of plain floats
+and ints with one call of json's C encoder, which formats numbers as the
+indent=1 encoder does; every other value goes through that encoder,
+re-indented.
 """
 
 from __future__ import annotations
@@ -66,6 +76,7 @@ import math
 import operator
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from itertools import chain, compress, repeat
 
@@ -371,21 +382,30 @@ def _text_tokens(rec, schema, memo: list):
                                               map(repr, map(float, rec.i))))
 
 
-def dumps_text(ds: DatasetFile) -> str:
+def _text_pieces(ds: DatasetFile) -> Iterator[str]:
+    """The text of ds, a line per piece, after the refusals that come before
+    anything is written."""
     _check_attrs("wafer", ds.wafer, None)
     _check_attrs("meta", ds.meta, None)
     _check_lengths(ds)
-    lines = [f"format {FORMAT_NAME} {FORMAT_VERSION}"]
-    lines.append("units " + " ".join(f"{k}={v}" for k, v in CANONICAL_UNITS.items()))
+    return _text_lines(ds)
+
+
+def _text_lines(ds: DatasetFile) -> Iterator[str]:
+    yield f"format {FORMAT_NAME} {FORMAT_VERSION}\n"
+    yield "units " + " ".join(f"{k}={v}" for k, v in CANONICAL_UNITS.items()) + "\n"
     if ds.wafer:
-        lines.append("wafer " + " ".join(f"{k}={v}" for k, v in ds.wafer.items()))
-    lines.extend(f"meta {key}={value}" for key, value in ds.meta.items())
+        yield "wafer " + " ".join(f"{k}={v}" for k, v in ds.wafer.items()) + "\n"
+    for key, value in ds.meta.items():
+        yield f"meta {key}={value}\n"
     memo = [None, None]  # see _text_tokens
     for kind, (_, schema, _) in _SCHEMA.items():
         for rec in getattr(ds, kind):
-            lines.append(" ".join([kind, *_text_tokens(rec, schema, memo)]))
-    lines.append("")  # the final newline, without a copy of the text
-    return "\n".join(lines)
+            yield " ".join([kind, *_text_tokens(rec, schema, memo)]) + "\n"
+
+
+def dumps_text(ds: DatasetFile) -> str:
+    return "".join(_text_pieces(ds))
 
 
 def _parse(cast: type, tok: str, what: str, line: int):
@@ -439,9 +459,15 @@ def _text_record(kind: str, toks: list[str], line: int, memo: list):
 
 
 def loads_text(text: str) -> DatasetFile:
+    return _load_lines(text.splitlines())
+
+
+def _load_lines(lines: list[str]) -> DatasetFile:
+    """The text reader on a file's str.splitlines(); it sets each line of
+    the list to None once it has parsed it."""
     check = _Checker()
     try:
-        ds = _read_text(text, check)
+        ds = _read_text(lines, check)
     except DatasetError:
         check.flush()  # a series fault on an earlier line comes first
         raise
@@ -449,13 +475,14 @@ def loads_text(text: str) -> DatasetFile:
     return ds
 
 
-def _read_text(text: str, check: _Checker) -> DatasetFile:
+def _read_text(lines: list[str], check: _Checker) -> DatasetFile:
     ds = DatasetFile()
     memo = [None, None]  # the last series' v tokens and floats, see _parse_pairs
     seen_format = False
     seen_units = False
     seen_wafer = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
+        lines[line_no - 1] = None  # no line outlives its parse
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -569,25 +596,31 @@ def _json_text(x, newline: str, memo: list | None = None) -> str:
     return json.dumps(x, sort_keys=True, indent=1).replace("\n", newline)
 
 
-def _json_records(records: list, names: list[str]) -> list[str]:
-    """The text of a record list, in pieces that dumps_json joins once."""
+def _json_records(records: list, names: list[str]) -> Iterator[str]:
+    """The text of a record list, a record per piece."""
     keys = [f'"{name}": ' for name in names]
     memo = [None, None]  # see _json_text
     memos = [memo if name == "v" else None for name in names]
-    pieces = []
+    opening = "["  # the first record takes no comma
     for rec in records:
         fields = [key + _json_text(getattr(rec, name), "\n   ", last)
                   for key, name, last in zip(keys, names, memos)]
-        pieces.append(",\n  {\n   " + ",\n   ".join(fields) + "\n  }")
-    if not pieces:
-        return ["[]"]
-    pieces[0] = "[" + pieces[0][1:]  # the first record takes no comma
-    pieces.append("\n ]")
-    return pieces
+        yield opening + "\n  {\n   " + ",\n   ".join(fields) + "\n  }"
+        opening = ","
+    yield "[]" if opening == "[" else "\n ]"
 
 
-def dumps_json(ds: DatasetFile) -> str:
+def _json_pieces(ds: DatasetFile) -> Iterator[str]:
+    """The JSON text of ds, a record per piece, after the refusals that come
+    before anything is written: loads_json's on wafer and meta entries, then
+    unequal series."""
+    _check_attrs("wafer", ds.wafer, "wafer")
+    _check_attrs("meta", ds.meta, "meta")
     _check_lengths(ds)
+    return _json_lines(ds)
+
+
+def _json_lines(ds: DatasetFile) -> Iterator[str]:
     head = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -595,17 +628,20 @@ def dumps_json(ds: DatasetFile) -> str:
         "wafer": ds.wafer,
         "meta": ds.meta,
     }
-    pieces = ["{"]
+    opening = "{"
     for key in sorted([*head, *_SCHEMA]):
-        pieces.append(f'\n "{key}": ')
+        yield f'{opening}\n "{key}": '
         if key in head:
-            pieces.append(_json_text(head[key], "\n "))
+            yield _json_text(head[key], "\n ")
         else:
-            names = sorted(name for name, _ in _SCHEMA[key][1])
-            pieces += _json_records(getattr(ds, key), names)
-        pieces.append(",")
-    pieces[-1] = "\n}\n"
-    return "".join(pieces)
+            yield from _json_records(getattr(ds, key),
+                                     sorted(name for name, _ in _SCHEMA[key][1]))
+        opening = ","
+    yield "\n}\n"
+
+
+def dumps_json(ds: DatasetFile) -> str:
+    return "".join(_json_pieces(ds))
 
 
 def _json_value(rec: dict, name: str, ftype: str, where: str):
@@ -633,10 +669,17 @@ def _json_value(rec: dict, name: str, ftype: str, where: str):
 
 
 def loads_json(text: str) -> DatasetFile:
+    return _json_dataset(_json_payload(text))
+
+
+def _json_payload(text: str):
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+
+
+def _json_dataset(payload) -> DatasetFile:
     if not isinstance(payload, dict):
         raise DatasetFormatError("top-level JSON value must be an object")
     if payload.get("format") != FORMAT_NAME:
@@ -681,14 +724,26 @@ def loads_json(text: str) -> DatasetFile:
 
 # ------------------------------------------------------------------------ io
 
-def atomic_write_text(path: str, data: str) -> None:
-    """Write via a same-directory temp file and rename, so readers never see
-    a half-written file."""
+_BATCH_CHARS = 1 << 20  # about 1 MB of text per write
+
+
+def atomic_write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the concatenated pieces via a same-directory temp file and
+    rename, so readers never see a half-written file.  The pieces are joined
+    and written in batches of _BATCH_CHARS or more, so a large text is never
+    held whole.  If a piece fails, the temp file goes and path is untouched."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(data)
+            batch, size = [], 0
+            for piece in pieces:
+                batch.append(piece)
+                size += len(piece)
+                if size >= _BATCH_CHARS:
+                    handle.write("".join(batch))
+                    batch, size = [], 0
+            handle.write("".join(batch))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -700,24 +755,27 @@ def save_dataset(ds: DatasetFile, path: str, fmt: str | None = None) -> None:
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "text"
     if fmt == "text":
-        atomic_write_text(path, dumps_text(ds))
+        pieces = _text_pieces(ds)
     elif fmt == "json":
-        atomic_write_text(path, dumps_json(ds))
+        pieces = _json_pieces(ds)
     else:
         raise ValueError(f"fmt must be 'text' or 'json', got {fmt!r}")
+    atomic_write_text(path, pieces)
 
 
 def load_dataset(path: str, fmt: str | None = None) -> DatasetFile:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if fmt is None:
-        head = text.lstrip()
-        fmt = "json" if head.startswith("{") else "text"
+        fmt = "json" if text.lstrip().startswith("{") else "text"
     if fmt == "text":
-        return loads_text(text)
-    if fmt == "json":
-        return loads_json(text)
-    raise ValueError(f"fmt must be 'text' or 'json', got {fmt!r}")
+        parsed, read = text.splitlines(), _load_lines
+    elif fmt == "json":
+        parsed, read = _json_payload(text), _json_dataset
+    else:
+        raise ValueError(f"fmt must be 'text' or 'json', got {fmt!r}")
+    del text  # the reader holds the lines or the JSON values, never the text too
+    return read(parsed)
 
 
 # -------------------------------------------------------- record materializers

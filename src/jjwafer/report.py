@@ -536,7 +536,7 @@ def export_wafer_grid(wmap: WaferMap, path: str) -> None:
             x = wmap.values[r, c]
             cells.append(format_grid_cell(float(x)) if np.isfinite(x) else "")
         rows.append(",".join(cells))
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    atomic_write_text(path, ["\n".join(rows) + "\n"])
     meta = [
         f"label={wmap.label}",
         f"units={wmap.units}",
@@ -546,7 +546,7 @@ def export_wafer_grid(wmap: WaferMap, path: str) -> None:
         f"n_valid={wmap.n_valid}",
         f"n_probed={wmap.n_probed}",
     ]
-    atomic_write_text(path + ".meta", "\n".join(meta) + "\n")
+    atomic_write_text(path + ".meta", ["\n".join(meta) + "\n"])
 
 
 def load_wafer_grid(path: str) -> WaferMap:

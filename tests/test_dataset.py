@@ -105,7 +105,7 @@ def test_save_load_with_format_sniffing(tmp_path):
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = str(tmp_path / "out.dat")
-    atomic_write_text(path, "payload\n")
+    atomic_write_text(path, ["pay", "load\n"])
     with open(path) as fh:
         assert fh.read() == "payload\n"
     assert os.listdir(tmp_path) == ["out.dat"]

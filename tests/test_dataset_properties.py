@@ -9,6 +9,7 @@
   ran alone, and exits with the worst file's code
 """
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -253,13 +254,21 @@ def test_overflowing_cap_spread_skips_the_area_without_a_warning():
     assert "overflow" in report.notes[0]
 
 
+def _json_file(ds):
+    """ds in the JSON format as it stands: the JSON writer writes any record,
+    but refuses the wafer and meta entries that loads_json refuses."""
+    payload = json.loads(dumps_json(replace(ds, wafer={}, meta={})))
+    payload.update(wafer=ds.wafer, meta=ds.meta)
+    return json.dumps(payload)
+
+
 def test_cli_reports_each_file_as_if_it_ran_alone(tmp_path, capsys):
-    # near misses go out through the JSON writer, which writes any record;
-    # WAFER analyzes cleanly (exit 0), TINY with stage errors (exit 2)
+    # near misses go out in the JSON format; WAFER analyzes cleanly (exit 0),
+    # TINY with stage errors (exit 2)
     bad = []
     for k, miss in enumerate(sorted(NEAR_MISSES)):
         path = tmp_path / f"miss{k}.json"
-        path.write_text(dumps_json(_broken(TINY, miss)))
+        path.write_text(_json_file(_broken(TINY, miss)))
         bad.append(str(path))
     good = {str(tmp_path / "wafer.jjw"): WAFER, str(tmp_path / "tiny.jjw"): TINY}
     for path, ds in good.items():

@@ -2,16 +2,27 @@
 
 * dumps_text formats each voltage staircase once and reuses its text for the
   series after it that repeat it; dumps_json writes the indent=1 layout
-  itself and lets the C encoder write series of plain numbers.  Both write
-  what the reference writers below write, byte for byte, on in-memory
-  datasets with edge values and on generated wafers.
+  itself and lets the C encoder write series of plain numbers.  Both, and
+  save_dataset, which streams the same pieces to disk, write what the
+  reference writers below write, byte for byte, on in-memory datasets with
+  edge values and on the benchmark's 56x56 wafer.  On the generated preset
+  wafers they write what the reference writers wrote, recorded as SHA-256
+  digests in written_sha256.json, which
+  `PYTHONPATH=src python tests/test_dataset_writers.py` prints again from
+  the reference writers (in about a minute)
+* save_dataset refuses a dataset before it creates its temp file, and a
+  fault met while streaming leaves no temp file; either way the destination
+  keeps its bytes
 * both readers refuse a sweep whose finite voltages step by more than the
   largest float, so analyze() never sees one
 * `jjwafer simulate` writes what the writers write for the same spec
 """
 
+import hashlib
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -30,8 +41,9 @@ from jjwafer.dataset import (
     dumps_text,
     loads_json,
     loads_text,
+    save_dataset,
 )
-from jjwafer.errors import DatasetError, DatasetSchemaError
+from jjwafer.errors import DatasetError, DatasetFormatError, DatasetSchemaError
 from jjwafer.report import analyze
 from jjwafer.synthetic import PRESET_NAMES, WaferSpec, generate_wafer, preset_spec
 
@@ -69,7 +81,10 @@ def reference_dumps_text(ds):
 
 
 def reference_dumps_json(ds):
-    """dumps_json as it was: json's pure-Python indent=1 encoder throughout."""
+    """dumps_json as it was: json's pure-Python indent=1 encoder throughout,
+    after the refusals of wafer and meta entries that loads_json makes."""
+    dataset._check_attrs("wafer", ds.wafer, "wafer")
+    dataset._check_attrs("meta", ds.meta, "meta")
     payload = {
         "format": dataset.FORMAT_NAME,
         "version": dataset.FORMAT_VERSION,
@@ -83,7 +98,26 @@ def reference_dumps_json(ds):
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-WRITERS = [(dumps_text, reference_dumps_text), (dumps_json, reference_dumps_json)]
+def saved(fmt):
+    """A writer that returns what save_dataset writes in fmt."""
+    def save(ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "w.dat")
+            try:
+                save_dataset(ds, path, fmt)
+            except BaseException:
+                assert os.listdir(tmp) == []  # no temp file, no destination
+                raise
+            assert os.listdir(tmp) == ["w.dat"]
+            with open(path, "rb") as handle:
+                return handle.read().decode("utf-8")
+    save.__name__ = f"save_dataset_{fmt}"
+    return save
+
+
+# each reference writer, and the writers that must write what it writes
+WRITERS = [(reference_dumps_text, (dumps_text, saved("text"))),
+           (reference_dumps_json, (dumps_json, saved("json")))]
 
 # ------------------------------------------------------ in-memory edge values
 
@@ -164,8 +198,10 @@ def _outcome(write, ds):
           suppress_health_check=[HealthCheck.too_slow])
 @given(edge_datasets())
 def test_writers_write_what_the_reference_writers_write(ds):
-    for write, reference in WRITERS:
-        assert _outcome(write, ds) == _outcome(reference, ds)
+    for reference, writers in WRITERS:
+        want = _outcome(reference, ds)
+        for write in writers:
+            assert _outcome(write, ds) == want, write.__name__
 
 
 def test_edge_datasets_reach_the_fast_paths():
@@ -174,8 +210,10 @@ def test_edge_datasets_reach_the_fast_paths():
         RampRecord(0, 0, 25.0, 0.01, 0.07, v, [1e-12, math.nan, -math.inf, True])
         for v in (staircase, list(staircase), _with_zeros_negated(staircase),
                   [0.0, 0.0, SUBNORMAL, LARGEST], steps, _with_ints(steps))])
-    for write, reference in WRITERS:
-        assert write(ds) == reference(ds)
+    for reference, writers in WRITERS:
+        want = reference(ds)
+        for write in writers:
+            assert write(ds) == want, write.__name__
     assert "-0.0:1e-12 -0.0:nan 5e-324:-inf" in dumps_text(ds)
     assert '"v": [\n    1,\n    2,\n' in dumps_json(ds)
     assert ' "label": "q\\"\\\\\\u00b5\\u0000"\n' in dumps_json(ds)
@@ -184,12 +222,29 @@ def test_edge_datasets_reach_the_fast_paths():
 # -------------------------------------------------------- generated datasets
 
 
+with open(os.path.join(os.path.dirname(__file__), "written_sha256.json")) as _table:
+    # format -> preset -> the digest of each seed 0-59's dataset, as written
+    # by the reference writers
+    WRITTEN_SHA256 = json.load(_table)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def reference_digests():
+    return {fmt: {preset: [_sha256(reference(generate_wafer(preset_spec(preset, seed)).dataset))
+                           for seed in range(60)] for preset in PRESET_NAMES}
+            for fmt, reference in (("text", reference_dumps_text),
+                                   ("json", reference_dumps_json))}
+
+
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_generated_wafers_are_written_as_before(preset):
     for seed in range(60):
         ds = generate_wafer(preset_spec(preset, seed)).dataset
-        for write, reference in WRITERS:
-            assert write(ds) == reference(ds), (preset, seed, write.__name__)
+        for fmt, write in (("text", dumps_text), ("json", dumps_json)):
+            assert _sha256(write(ds)) == WRITTEN_SHA256[fmt][preset][seed], (preset, seed, fmt)
 
 
 def test_large_wafer_is_written_as_before():
@@ -198,11 +253,59 @@ def test_large_wafer_is_written_as_before():
                        mask_radius=4 * math.sqrt(42.5), defect_density_cm2=5.5e5)
     ds = generate_wafer(spec).dataset
     assert len(ds.ramp) == 2098
-    for write, reference in WRITERS:
-        assert write(ds) == reference(ds), write.__name__
+    for reference, writers in WRITERS:
+        want = reference(ds)
+        for write in writers:
+            assert write(ds) == want, write.__name__
 
 
-# ------------------------------------------------------------ refused series
+# ------------------------------------------------------------- refusals
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("fault", ["unequal series", "wafer entry", "mid-stream"])
+def test_a_failed_save_leaves_the_destination_as_it_was(tmp_path, monkeypatch, fmt, fault):
+    # 14x14: 1.2 MB of text, 1.7 MB of JSON, so a batch is on disk before
+    # the last ramp's fault
+    ds = generate_wafer(WaferSpec(seed=1)).dataset
+    if fault == "unequal series":
+        ds.ramp[3].i.pop()
+        error = DatasetSchemaError
+    elif fault == "wafer entry":
+        ds.wafer["label"] = "has space"
+        error = DatasetFormatError
+    else:
+        ds.ramp[-1].i[-1] = 1j  # neither float() nor json formats it
+        error = TypeError
+    made, mkstemp = [], tempfile.mkstemp
+
+    def counted_mkstemp(*args, **kwargs):
+        made.append(mkstemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkstemp", counted_mkstemp)
+    path = tmp_path / "w.dat"
+    path.write_bytes(b"earlier bytes\n")
+    with pytest.raises(error):
+        save_dataset(ds, str(path), fmt)
+    assert path.read_bytes() == b"earlier bytes\n"
+    assert os.listdir(tmp_path) == ["w.dat"]
+    # a refusal comes before the temp file; a fault met streaming removes it
+    assert len(made) == (fault == "mid-stream")
+
+
+@pytest.mark.parametrize("section, entries", [("wafer", {"label": "has space"}),
+                                              ("meta", {"note": "a # b"})])
+def test_json_writer_refuses_the_entries_the_json_reader_refuses(section, entries):
+    ds = DatasetFile(cap=[CapRecord(0, 0, 25.0, 1.0)])
+    payload = json.loads(dumps_json(ds))
+    payload[section] = entries
+    with pytest.raises(DatasetFormatError) as read:
+        loads_json(json.dumps(payload))
+    setattr(ds, section, entries)
+    with pytest.raises(DatasetFormatError) as written:
+        dumps_json(ds)
+    assert (str(written.value), written.value.line) == (str(read.value), read.value.line)
 
 
 @pytest.mark.parametrize("kind", ["iv", "ramp"])
@@ -238,3 +341,7 @@ def test_cli_simulate_writes_what_the_writers_write(tmp_path, capsys, name, dump
     capsys.readouterr()
     want = dumps(generate_wafer(preset_spec("etch20", seed=3)).dataset)
     assert out.read_text(encoding="utf-8") == want
+
+
+if __name__ == "__main__":
+    print(json.dumps(reference_digests(), indent=1))

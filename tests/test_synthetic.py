@@ -69,6 +69,16 @@ def test_in_memory_views_equal_the_materialized_file(tmp_path):
     assert gen.resistance_records == resistance_records(ds)
 
 
+def test_records_share_their_staircase_floats_in_lists_of_their_own():
+    ds = generate_wafer(preset_spec("etch20", seed=1)).dataset
+    for kind in ("ramp", "iv"):
+        first, second = getattr(ds, kind)[:2]
+        assert first.v == second.v
+        assert all(a is b for a, b in zip(first.v, second.v))
+        first.v[5] = -1.0
+        assert second.v[5] != -1.0, kind
+
+
 def test_generation_is_byte_deterministic():
     a = dumps_text(generate_wafer(preset_spec("ref", 7)).dataset)
     b = dumps_text(generate_wafer(preset_spec("ref", 7)).dataset)
