@@ -21,6 +21,13 @@ A capacitance value of `X` marks a probed-but-dead cell.  `meta` values may
 contain spaces; everything else is whitespace-delimited.  The JSON format
 carries the same payload as one object, one key per record field.
 
+In memory, an IVRecord or RampRecord holds its v and i as array('d'), 8
+bytes a value.  Its constructor converts what it is given (a list, a tuple,
+a numpy array, ints) and keeps an array('d') as it is; a str, None, a
+complex or a nested element raises TypeError.  Records are equal when their
+values are.  A series assigned after construction is converted where a
+writer or ramp_blocks reads it.
+
 Both readers only parse, raising DatasetFormatError for syntax and type
 faults, and hand every record to one checker (_Checker).  Its rules, the
 same for both formats:
@@ -43,9 +50,13 @@ breakdown.ramp_faults), as ramp_blocks does for analyze().  Errors are still
 raised in file order: a reader flushes the queue before any later error
 propagates, and the first faulty series re-runs its scalar rule for the
 message.  Errors carry the 1-based line number (text) or name the record, e.g.
-"ramp record 3" (JSON).  load_dataset holds a file's text only until it is
-split: the text reader gets its lines and lets each one go once it is
-parsed, the JSON reader gets json.loads' values.
+"ramp record 3" (JSON).  load_dataset decodes a regular file's text from a
+read-only map of it, so the file's bytes are not copied next to its text,
+and holds the text only until it is split: the text reader gets its lines
+and lets each one go once it is parsed, the JSON reader gets json.loads'
+values.  The text reader parses a series straight into arrays; json.loads
+converts each v and i list to an array as it decodes the record, so its
+float lists die record by record.
 
 Writers are atomic: content goes to a temp file in the target directory
 which is then renamed over the destination.  Each format's writer is a
@@ -58,24 +69,26 @@ Floats are written with repr(), which round-trips exactly, so
 load(save(ds)) == ds field for field.  Before they write anything, both
 writers refuse wafer and meta entries that the text format cannot hold
 (dumps_json with the error loads_json raises for them) and a series whose v
-and i differ in length.  Each writer formats a voltage staircase once: a
-series equal to the one before it, with no zero (-0.0 == 0.0, yet the two
-format apart) and, in JSON, floats only, reuses its text.  dumps_text
-writes repr(float(x)) per value.  dumps_json writes the layout of
+and i differ in length.  Each writer formats a voltage staircase once: a v
+with the bits of the v before it reuses its text, as equal bits format
+alike (-0.0 == 0.0, yet their bits and text differ).  dumps_text writes
+repr(float(x)) per value.  dumps_json writes the layout of
 json.dumps(payload, sort_keys=True, indent=1) itself: records in sorted key
-order, finite floats and ints with their repr, and a series of plain floats
-and ints with one call of json's C encoder, which formats numbers as the
-indent=1 encoder does; every other value goes through that encoder,
-re-indented.
+order, finite floats and ints with their repr, and a series with one call
+of json's C encoder, which formats floats as the indent=1 encoder does;
+every other value goes through that encoder, re-indented.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import operator
 import os
+import stat
 import tempfile
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from itertools import chain, compress, repeat
@@ -143,13 +156,33 @@ class CapRecord:
     c_ff: float | None  # None marks a probed cell that gave no reading
 
 
+def _float64(x) -> array:
+    """x as an array('d'): itself if it is one, else converted, with
+    TypeError for what array('d', ...) refuses (a str, None, a complex or a
+    nested element) and for bytes, which it would read as raw doubles."""
+    if type(x) is array and x.typecode == "d":
+        return x
+    if isinstance(x, (bytes, bytearray)):
+        raise TypeError(f"a series must hold numbers, got {type(x).__name__}")
+    if isinstance(x, np.ndarray):
+        x = x.tolist()  # Python numbers, so a complex one is refused
+    return array("d", x)
+
+
+class _Series:
+    """The v and i of a record, held as array('d') from construction on."""
+
+    def __post_init__(self):
+        self.v, self.i = _float64(self.v), _float64(self.i)
+
+
 @dataclass
-class IVRecord:
+class IVRecord(_Series):
     row: int
     col: int
     area_um2: float
-    v: list[float]
-    i: list[float]
+    v: array
+    i: array
 
 
 @dataclass
@@ -161,14 +194,14 @@ class ResRecordRow:
 
 
 @dataclass
-class RampRecord:
+class RampRecord(_Series):
     row: int
     col: int
     area_um2: float
     step_v: float
     rate_v_per_s: float
-    v: list[float]
-    i: list[float]
+    v: array
+    i: array
 
 
 @dataclass
@@ -191,14 +224,14 @@ class DatasetFile:
 
 # The record dataclasses are the schema: fields in text column order, field
 # names as JSON keys, and the annotation picks each field's kind, named by the
-# type a reader must produce; _Checker applies the ranges.  Each kind maps to
+# JSON type a file must hold; _Checker applies the ranges.  Each kind maps to
 # its class, its fields and, in the same order, its scalar fields.
 _INDEX = "an integer"            # die row or col, in [0, MAX_GRID)
 _POSITIVE = "a number"           # finite and > 0
 _READING = "a number or null"    # finite; None marks a dead cell (`X` in text)
 _SERIES = "a list of numbers"    # v and i; text writes a count, then v:i pairs
 _KINDS = {"int": _INDEX, "float": _POSITIVE, "float | None": _READING,
-          "list[float]": _SERIES}
+          "array": _SERIES}
 _SCHEMA = {
     kind: (cls, schema, tuple(f for f in schema if f[1] is not _SERIES))
     for kind, cls in (("cap", CapRecord), ("iv", IVRecord), ("res", ResRecordRow),
@@ -335,8 +368,9 @@ _ROW, _COL = operator.attrgetter("row"), operator.attrgetter("col")
 def _stack(records: list, faulty: np.ndarray):
     """The series of the records stacked by length, ascending: yields (rows,
     v, i), rows the positions in records of the rows of the (rows, length)
-    float blocks v and i.  Records whose v and i differ in length are marked
-    in faulty first; no marked record is stacked."""
+    float blocks v and i, copied from the series' buffers.  Records whose v
+    and i differ in length are marked in faulty first; no marked record is
+    stacked."""
     n = len(records)
     sizes = np.fromiter(map(len, map(_V, records)), int, n)
     faulty |= sizes != np.fromiter(map(len, map(_I, records)), int, n)
@@ -344,8 +378,8 @@ def _stack(records: list, faulty: np.ndarray):
         take = (sizes == size) & ~faulty
         rows = np.flatnonzero(take)
         group = list(compress(records, take))
-        v, i = (np.fromiter(chain.from_iterable(map(get, group)), float,
-                            rows.size * size).reshape(rows.size, size)
+        # a series assigned after construction may be no array('d') yet
+        v, i = (np.array(list(map(_float64, map(get, group)))).reshape(rows.size, size)
                 for get in (_V, _I))
         yield rows, v, i
 
@@ -374,12 +408,13 @@ def _text_tokens(rec, schema, memo: list):
         elif ftype is not _SERIES:
             yield "X" if x is None else _fmt(x)
         elif name == "v":
-            # memo holds the previous series' v and its "repr:" prefixes, which
-            # a ramp on the same staircase reuses; -0.0 == 0.0 formats apart
-            if x != memo[0] or 0.0 in x:
-                memo[:] = x, [_fmt(u) + ":" for u in x]
+            # memo holds the previous series' v bits and its "repr:" prefixes,
+            # which a ramp on the same staircase reuses: equal bits format alike
+            x = _float64(x)
+            if (bits := x.tobytes()) != memo[0]:
+                memo[:] = bits, [repr(u) + ":" for u in x]
             yield f"{len(x)} " + " ".join(map(operator.add, memo[1],
-                                              map(repr, map(float, rec.i))))
+                                              map(repr, _float64(rec.i))))
 
 
 def _text_pieces(ds: DatasetFile) -> Iterator[str]:
@@ -417,10 +452,10 @@ def _parse(cast: type, tok: str, what: str, line: int):
 
 
 def _parse_pairs(toks: list[str], npts: int, line: int,
-                 memo: list) -> tuple[list[float], list[float]]:
+                 memo: list) -> tuple[array, array]:
     """v and i of one series.  memo holds the previous series' v tokens and
-    their floats: ramps step along one programmed staircase, so most series
-    repeat the v tokens of the one before and reuse its floats."""
+    their array: ramps step along one programmed staircase, so most series
+    repeat the v tokens of the one before and copy its array."""
     if len(toks) != npts:
         raise DatasetFormatError(
             f"expected {npts} v:i pairs, found {len(toks)}", line=line
@@ -433,8 +468,8 @@ def _parse_pairs(toks: list[str], npts: int, line: int,
     v_toks = flat[0::2]
     try:
         if v_toks != memo[0]:
-            memo[:] = v_toks, list(map(float, v_toks))
-        return list(memo[1]), list(map(float, flat[1::2]))
+            memo[:] = v_toks, array("d", map(float, v_toks))
+        return array("d", memo[1]), array("d", map(float, flat[1::2]))
     except ValueError:
         for k, x in enumerate(flat):  # name the first bad token in file order
             _parse(float, x, "vi"[k % 2], line)
@@ -477,7 +512,7 @@ def _load_lines(lines: list[str]) -> DatasetFile:
 
 def _read_text(lines: list[str], check: _Checker) -> DatasetFile:
     ds = DatasetFile()
-    memo = [None, None]  # the last series' v tokens and floats, see _parse_pairs
+    memo = [None, None]  # the last series' v tokens and array, see _parse_pairs
     seen_format = False
     seen_units = False
     seen_wafer = False
@@ -566,15 +601,12 @@ def _read_text(lines: list[str], check: _Checker) -> DatasetFile:
 
 # ---------------------------------------------------------------- json format
 
-_NUMBERS, _FLOATS = {float, int}, {float}
+_NUMBERS = {float, int}
 
 
-def _json_text(x, newline: str, memo: list | None = None) -> str:
+def _json_text(x, newline: str) -> str:
     """x as json.dumps(..., sort_keys=True, indent=1) lays it out when it
-    starts on a line that newline (a newline and that line's indent) opens.
-
-    memo, passed for v, holds the previous all-float v and its text, which a
-    ramp on the same staircase reuses; -0.0 == 0.0 yet formats apart."""
+    starts on a line that newline (a newline and that line's indent) opens."""
     cls = type(x)
     if cls is float and math.isfinite(x):
         return float.__repr__(x)
@@ -582,29 +614,38 @@ def _json_text(x, newline: str, memo: list | None = None) -> str:
         return int.__repr__(x)
     if x is None:
         return "null"
-    if cls is list and x and (types := set(map(type, x))) <= _NUMBERS:
-        staircase = memo is not None and types == _FLOATS
-        if staircase and x == memo[0] and 0.0 not in x:
-            return memo[1]
-        # the C encoder writes plain numbers as the indent=1 encoder does
-        inner = newline + " "
-        text = f"[{inner}{json.dumps(x)[1:-1].replace(', ', ',' + inner)}{newline}]"
-        if staircase:
-            memo[:] = x, text
-        return text
     # no JSON string holds a raw newline, so every one here is an indent
     return json.dumps(x, sort_keys=True, indent=1).replace("\n", newline)
 
 
-def _json_records(records: list, names: list[str]) -> Iterator[str]:
+def _json_series(x, newline: str, memo: list | None) -> str:
+    """A v or i series as _json_text lays out its list of floats, which
+    json's C encoder formats as the indent=1 encoder does.  memo, passed for
+    v, holds the previous v's bits and text, which a ramp on the same
+    staircase reuses: equal bits format alike."""
+    x = _float64(x)
+    if memo is not None and (bits := x.tobytes()) == memo[0]:
+        return memo[1]
+    inner = newline + " "
+    text = (f"[{inner}{json.dumps(x.tolist())[1:-1].replace(', ', ',' + inner)}{newline}]"
+            if x else "[]")
+    if memo is not None:
+        memo[:] = bits, text
+    return text
+
+
+def _json_records(records: list, schema) -> Iterator[str]:
     """The text of a record list, a record per piece."""
+    names = sorted(name for name, _ in schema)
     keys = [f'"{name}": ' for name in names]
-    memo = [None, None]  # see _json_text
-    memos = [memo if name == "v" else None for name in names]
+    # each series field, with the memo _json_series keeps for v
+    series = {name: [None, None] if name == "v" else None
+              for name, ftype in schema if ftype is _SERIES}
     opening = "["  # the first record takes no comma
     for rec in records:
-        fields = [key + _json_text(getattr(rec, name), "\n   ", last)
-                  for key, name, last in zip(keys, names, memos)]
+        fields = [key + (_json_series(x, "\n   ", series[name]) if name in series
+                         else _json_text(x, "\n   "))
+                  for key, name, x in zip(keys, names, map(getattr, repeat(rec), names))]
         yield opening + "\n  {\n   " + ",\n   ".join(fields) + "\n  }"
         opening = ","
     yield "[]" if opening == "[" else "\n ]"
@@ -634,8 +675,7 @@ def _json_lines(ds: DatasetFile) -> Iterator[str]:
         if key in head:
             yield _json_text(head[key], "\n ")
         else:
-            yield from _json_records(getattr(ds, key),
-                                     sorted(name for name, _ in _SCHEMA[key][1]))
+            yield from _json_records(getattr(ds, key), _SCHEMA[key][1])
         opening = ","
     yield "\n}\n"
 
@@ -653,12 +693,8 @@ def _json_value(rec: dict, name: str, ftype: str, where: str):
             if type(x) is int:
                 return x
         elif ftype is _SERIES:
-            if type(x) is list:
-                types = set(map(type, x))
-                if types <= {float}:
-                    return x
-                if types <= {int, float}:
-                    return list(map(float, x))
+            if type(x) is array:  # see _json_payload
+                return x
         elif type(x) in (int, float):
             return float(x)
         elif ftype is _READING and x is None:
@@ -673,8 +709,22 @@ def loads_json(text: str) -> DatasetFile:
 
 
 def _json_payload(text: str):
+    """json.loads' values, with every v and i list of plain numbers made an
+    array('d') as it is decoded, so the decoder's float lists die record by
+    record."""
+
+    def series(obj: dict) -> dict:
+        for name in ("v", "i"):
+            x = obj.get(name)
+            if type(x) is list and set(map(type, x)) <= _NUMBERS:
+                try:
+                    obj[name] = array("d", x)
+                except OverflowError:  # an int beyond float: _json_value names it
+                    pass
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=series)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
 
@@ -763,9 +813,23 @@ def save_dataset(ds: DatasetFile, path: str, fmt: str | None = None) -> None:
     atomic_write_text(path, pieces)
 
 
+def _read_file(path: str) -> str:
+    """The text that open(path, encoding="utf-8").read() returns.  A regular
+    file is decoded straight from a read-only map of it, so its bytes are
+    not copied onto the heap beside its text."""
+    with open(path, "rb") as handle:
+        info = os.fstat(handle.fileno())
+        if not stat.S_ISREG(info.st_mode) or info.st_size == 0:  # no map of these
+            text = handle.read().decode("utf-8")
+        else:
+            with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+                text = str(mapped, "utf-8")
+    # the universal newlines of text mode
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def load_dataset(path: str, fmt: str | None = None) -> DatasetFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_file(path)
     if fmt is None:
         fmt = "json" if text.lstrip().startswith("{") else "text"
     if fmt == "text":
@@ -817,16 +881,19 @@ def cap_wafer_map(ds: DatasetFile, area_um2: float) -> WaferMap:
                     label=ds.label, units="fF")
 
 
+# a curve or trace gets copies of its record's series, so no stage writes
+# into a record and no view pins a record's array to its length
+
 def iv_curves(ds: DatasetFile) -> list[IVCurve]:
     return [
-        IVCurve(v=np.asarray(rec.v), i=np.asarray(rec.i), area_um2=rec.area_um2,
+        IVCurve(v=np.array(rec.v), i=np.array(rec.i), area_um2=rec.area_um2,
                 die=(rec.row, rec.col), label=ds.label)
         for rec in ds.iv
     ]
 
 
 def _ramp_trace(rec: RampRecord) -> RampTrace:
-    return RampTrace(v=np.asarray(rec.v), i=np.asarray(rec.i), area_um2=rec.area_um2,
+    return RampTrace(v=np.array(rec.v), i=np.array(rec.i), area_um2=rec.area_um2,
                      die=(rec.row, rec.col), step_v=rec.step_v,
                      rate_v_per_s=rec.rate_v_per_s)
 

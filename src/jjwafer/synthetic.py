@@ -32,8 +32,9 @@ with, built on first use, so a caller that only saves the dataset never pays
 for them.  It walks the probed dies once, in row-major order: every die draws
 its thickness and dead flag, and a live die its capacitance cells and ramp.
 Every ramp steps along one voltage staircase, and every I-V sweep along one
-voltage grid: their floats are built once and shared, and each record owns
-its list of them, so changing one record's v changes no other.
+voltage grid: each is built once as an array('d') and every record gets its
+own copy, so changing one record's v changes no other.  The currents go
+from numpy's float64 into the records' array('d') bit for bit.
 
 One call builds one Philox generator and, before each stream's draws, resets
 its state to the start of that stream: zero counter, empty buffer, key
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -361,7 +363,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     eps_area = spec.eps_r * CONST.eps0 * um2_to_m2(np.array(areas))  # C = eps_area / t
     n_steps = int(round(spec.ramp_v_max / spec.ramp_step_v))
     v_ramp = spec.ramp_step_v * np.arange(1, n_steps + 1)
-    staircase = v_ramp.tolist()
+    staircase = array("d", v_ramp.tobytes())
     area_cm2 = um2_to_cm2(spec.ramp_area_um2)
 
     t_map = np.full((rows, cols), np.nan)
@@ -422,7 +424,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
         ramp.append(RampRecord(row=r, col=c, area_um2=spec.ramp_area_um2,
                                step_v=spec.ramp_step_v,
                                rate_v_per_s=spec.ramp_rate_v_per_s,
-                               v=list(staircase), i=i.tolist()))
+                               v=array("d", staircase), i=array("d", i.tobytes())))
 
     cap = [
         CapRecord(row=r, col=c, area_um2=areas[k], c_ff=x if math.isfinite(x) else None)
@@ -446,7 +448,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     live = probed & ~dead
     order = sorted(zip(dist2[live].tolist(), *(idx.tolist() for idx in np.nonzero(live))))
     v_sweep = np.geomspace(spec.iv_v_min, spec.iv_v_max, spec.iv_points)
-    sweep = v_sweep.tolist()
+    sweep = array("d", v_sweep.tobytes())
     iv = []
     for _, r, c in order[: spec.n_iv_dies]:
         die_model = OxideModel(
@@ -457,7 +459,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
         i = i * _relative_noise(_stream(rng, seed, r, c, _TAG_IV), spec.iv_noise_pct,
                                 v_sweep.size)
         iv.append(IVRecord(row=r, col=c, area_um2=spec.iv_area_um2,
-                           v=list(sweep), i=i.tolist()))
+                           v=array("d", sweep), i=array("d", i.tobytes())))
 
     # resistance series from the two-path model at wafer-mean thickness
     ra_true = spec.ra_mohm_um2

@@ -1,8 +1,10 @@
 """Dataset container: text/JSON round trips, eager validation, materializers."""
 
+import copy
 import json
 import math
 import os
+from array import array
 
 import numpy as np
 import pytest
@@ -37,7 +39,8 @@ from jjwafer.errors import (
     DatasetSchemaError,
     DatasetUnitError,
 )
-from jjwafer.synthetic import WaferSpec, generate_wafer
+from jjwafer.report import analyze
+from jjwafer.synthetic import WaferSpec, generate_wafer, preset_spec
 from jjwafer.transport import IVCurve
 
 HEADER = ("format jjwafer-dataset 1\n"
@@ -109,6 +112,101 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     with open(path) as fh:
         assert fh.read() == "payload\n"
     assert os.listdir(tmp_path) == ["out.dat"]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+@pytest.mark.parametrize("dumps", [dumps_text, dumps_json])
+def test_load_dataset_reads_what_text_mode_reads(tmp_path, newline, dumps):
+    path = tmp_path / "w.dat"
+    path.write_bytes(dumps(sample_dataset()).replace("\n", newline).encode())
+    assert load_dataset(str(path)) == sample_dataset()
+    # a fault is located on the line text mode puts it on
+    path.write_bytes(newline.join(["{", '"format": 1,', "}"]).encode())
+    with pytest.raises(DatasetFormatError) as refused:
+        load_dataset(str(path))
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(path.read_text(encoding="utf-8"))
+    assert refused.value.line == decoded.value.lineno == 3
+
+
+def test_load_dataset_reads_empty_files_and_pipes(tmp_path):
+    path = tmp_path / "empty.dat"
+    path.write_bytes(b"")
+    with pytest.raises(DatasetFormatError, match="empty dataset"):
+        load_dataset(str(path))
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd to name a pipe by")
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, dumps_text(sample_dataset()).encode())
+        os.close(write_end)
+        assert load_dataset(f"/dev/fd/{read_end}") == sample_dataset()
+    finally:
+        os.close(read_end)
+
+
+# --- series held as float64 ---
+
+
+@pytest.mark.parametrize("given", [[0.5, 1.5, 2.5], (0.5, 1.5, 2.5), np.array([0.5, 1.5, 2.5]),
+                                   [0, 1, 2], np.arange(3), [np.float64(0.5), 1, True]])
+def test_records_convert_their_series_to_float64(given):
+    want = [float(x) for x in given]
+    for rec in (IVRecord(0, 0, 25.0, given, given),
+                RampRecord(0, 0, 25.0, 0.01, 0.07, v=given, i=given)):
+        for series in (rec.v, rec.i):
+            assert type(series) is array and series.typecode == "d"
+            assert series.tolist() == want
+            assert all(type(x) is float for x in series)
+
+
+def test_records_keep_the_arrays_they_are_handed():
+    v, i = array("d", [0.01, 0.02]), array("d", [1e-12, 2e-12])
+    rec = RampRecord(0, 0, 25.0, 0.01, 0.07, v, i)
+    assert rec.v is v and rec.i is i
+
+
+@pytest.mark.parametrize("bad", ["0.25", None, 0.5, [0.5, 1j], np.array([0.5, 1j]),
+                                 [[0.5], [1.5]], np.array([[0.5], [1.5]]), [0.5, None],
+                                 [0.5, "1.5"], b"\0" * 16])
+def test_records_refuse_series_of_other_than_numbers(bad):
+    with pytest.raises(TypeError):
+        IVRecord(0, 0, 25.0, bad, [1.0, 2.0])
+    with pytest.raises(TypeError):
+        RampRecord(0, 0, 25.0, 0.01, 0.07, [0.01, 0.02], bad)
+
+
+@pytest.mark.parametrize("dumps, loads", [(dumps_text, loads_text), (dumps_json, loads_json)])
+def test_read_records_own_their_arrays(dumps, loads):
+    ds = loads(dumps(generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset))
+    for kind in ("ramp", "iv"):
+        first, second = getattr(ds, kind)[:2]
+        assert first.v == second.v
+        assert {type(x) for x in (first.v, first.i, second.v, second.i)} == {array}
+        first.v[1] = -1.0
+        assert second.v[1] != -1.0, kind
+
+
+def _two_ramp_lengths():
+    ds = generate_wafer(WaferSpec(rows=6, cols=6, seed=3, defect_density_cm2=5.5e5)).dataset
+    for rec in ds.ramp[::2]:
+        rec.v, rec.i = rec.v[:200], rec.i[:200]
+    return ds
+
+
+@pytest.mark.parametrize("make", [lambda: generate_wafer(preset_spec("etch20", 4)).dataset,
+                                  _two_ramp_lengths], ids=["preset", "two-lengths"])
+def test_stages_and_materializers_leave_the_records_as_they_were(make):
+    ds = make()
+    before = copy.deepcopy(ds)
+    rep = analyze(ds)
+    assert rep.n_ramps == len(ds.ramp) and not rep.stage_errors
+    # what they hand out is the caller's to write into
+    for rows, v, i in ramp_blocks(ds):
+        v[:], i[:] = -1.0, -1.0
+    for curve in [*iv_curves(ds), *ramp_traces(ds)]:
+        curve.v[:], curve.i[:] = -1.0, -1.0
+    assert ds == before
 
 
 # --- text parser validation ---

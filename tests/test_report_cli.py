@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from array import array
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_bkd_stage_matches_detect_breakdown_on_each_trace(seed):
         if k % 7 == 0:
             rec.i = (10.0 ** rng.uniform(-13, -10, n_steps)).tolist()
         elif k % 11 == 0:
-            rec.i[n_steps // 2:] = [1.7e308] * (n_steps - n_steps // 2)
+            rec.i[n_steps // 2:] = array("d", [1.7e308]) * (n_steps - n_steps // 2)
     v_bts = []
     for trace in ramp_traces(ds):
         try:

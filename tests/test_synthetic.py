@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from array import array
 
 import numpy as np
 import pytest
@@ -69,12 +70,13 @@ def test_in_memory_views_equal_the_materialized_file(tmp_path):
     assert gen.resistance_records == resistance_records(ds)
 
 
-def test_records_share_their_staircase_floats_in_lists_of_their_own():
+def test_records_own_their_staircase_arrays():
     ds = generate_wafer(preset_spec("etch20", seed=1)).dataset
     for kind in ("ramp", "iv"):
         first, second = getattr(ds, kind)[:2]
         assert first.v == second.v
-        assert all(a is b for a, b in zip(first.v, second.v))
+        assert {type(x) for x in (first.v, first.i)} == {array}
+        assert first.v.typecode == first.i.typecode == "d"
         first.v[5] = -1.0
         assert second.v[5] != -1.0, kind
 
