@@ -86,10 +86,11 @@ def check_ramp_steps(v: np.ndarray, step_v: float) -> None:
 def ramp_faults(v: np.ndarray, i: np.ndarray, step_v: np.ndarray) -> np.ndarray:
     """Rows of a ramp block that RampTrace refuses.
 
-    v, i are (ramps, steps) float arrays and step_v holds one declared step
-    per row.  A row is at fault when transport.sweep_faults flags it or
-    check_ramp_steps would refuse it.  The arithmetic is the scalar rules'
-    own, row by row, so the verdicts agree exactly.
+    v, i are (ramps, steps) float arrays, v possibly one row that every
+    ramp shares, and step_v holds one declared step per row.  A row is at
+    fault when transport.sweep_faults flags it or check_ramp_steps would
+    refuse it.  The arithmetic is the scalar rules' own, row by row, so the
+    verdicts agree exactly.
     """
     faulty = sweep_faults(v, i)
     if v.shape[1] < 2:

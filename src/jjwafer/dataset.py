@@ -22,11 +22,13 @@ contain spaces; everything else is whitespace-delimited.  The JSON format
 carries the same payload as one object, one key per record field.
 
 In memory, an IVRecord or RampRecord holds its v and i as array('d'), 8
-bytes a value.  Its constructor converts what it is given (a list, a tuple,
-a numpy array, ints) and keeps an array('d') as it is; a str, None, a
-complex or a nested element raises TypeError.  Records are equal when their
-values are.  A series assigned after construction is converted where a
-writer or ramp_blocks reads it.
+bytes a value.  Every assignment, the constructor's too, converts what it
+is given (a list, a tuple, a numpy array, ints) and keeps an array('d') as
+it is; a str, None, a complex or a nested element raises TypeError.
+Records are equal when their values are.  Ramps and sweeps that step along
+one staircase share one v array, from the generator and from either reader,
+while each record holds its own currents.  So to change a record's v,
+assign it a new series rather than writing into the shared one.
 
 Both readers only parse, raising DatasetFormatError for syntax and type
 faults, and hand every record to one checker (_Checker).  Its rules, the
@@ -46,15 +48,18 @@ same for both formats:
 The checker applies the scalar, duplicate-cell and extent rules as records
 arrive, and the two series rules above per block: it queues the sweeps and
 ramps and checks them stacked by kind and length (transport.sweep_faults,
-breakdown.ramp_faults), as ramp_blocks does for analyze().  Errors are still
+breakdown.ramp_faults), as ramp_blocks does for analyze(); a block of
+records that share one staircase stacks it as one row.  Errors are still
 raised in file order: a reader flushes the queue before any later error
 propagates, and the first faulty series re-runs its scalar rule for the
 message.  Errors carry the 1-based line number (text) or name the record, e.g.
-"ramp record 3" (JSON).  load_dataset decodes a regular file's text from a
-read-only map of it, so the file's bytes are not copied next to its text,
-and holds the text only until it is split: the text reader gets its lines
-and lets each one go once it is parsed, the JSON reader gets json.loads'
-values.  The text reader parses a series straight into arrays; json.loads
+"ramp record 3" (JSON).  A byte that is not UTF-8 is a DatasetFormatError on
+its line.  load_dataset reads a text file a line at a time and never holds
+its text; its lines break where str.splitlines() breaks the text that text
+mode reads, so it reads a file as loads_text reads that text.  It decodes a
+regular JSON file's text from a read-only map of it, so the file's bytes are
+not copied next to its text, and holds the text only until json.loads has
+decoded it.  The text reader parses a series straight into arrays; json.loads
 converts each v and i list to an array as it decodes the record, so its
 float lists die record by record.
 
@@ -170,10 +175,13 @@ def _float64(x) -> array:
 
 
 class _Series:
-    """The v and i of a record, held as array('d') from construction on."""
+    """The v and i of a record, held as array('d'): every assignment, the
+    constructor's too, converts the series it is given."""
 
-    def __post_init__(self):
-        self.v, self.i = _float64(self.v), _float64(self.i)
+    def __setattr__(self, name, value):
+        if name == "v" or name == "i":
+            value = _float64(value)
+        object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -368,8 +376,10 @@ _ROW, _COL = operator.attrgetter("row"), operator.attrgetter("col")
 def _stack(records: list, faulty: np.ndarray):
     """The series of the records stacked by length, ascending: yields (rows,
     v, i), rows the positions in records of the rows of the (rows, length)
-    float blocks v and i, copied from the series' buffers.  Records whose v
-    and i differ in length are marked in faulty first; no marked record is
+    float block i, copied from the series' buffers.  v is a block like i, or
+    one (1, length) row when every record of the length shares one v array,
+    which the series rules and the callers broadcast.  Records whose v and i
+    differ in length are marked in faulty first; no marked record is
     stacked."""
     n = len(records)
     sizes = np.fromiter(map(len, map(_V, records)), int, n)
@@ -378,10 +388,10 @@ def _stack(records: list, faulty: np.ndarray):
         take = (sizes == size) & ~faulty
         rows = np.flatnonzero(take)
         group = list(compress(records, take))
-        # a series assigned after construction may be no array('d') yet
-        v, i = (np.array(list(map(_float64, map(get, group)))).reshape(rows.size, size)
-                for get in (_V, _I))
-        yield rows, v, i
+        vs = list(map(_V, group))
+        shared = len(set(map(id, vs))) == 1
+        v = np.array(vs[0] if shared else vs).reshape(1 if shared else rows.size, size)
+        yield rows, v, np.array(list(map(_I, group))).reshape(rows.size, size)
 
 
 # ---------------------------------------------------------------- text format
@@ -410,11 +420,9 @@ def _text_tokens(rec, schema, memo: list):
         elif name == "v":
             # memo holds the previous series' v bits and its "repr:" prefixes,
             # which a ramp on the same staircase reuses: equal bits format alike
-            x = _float64(x)
             if (bits := x.tobytes()) != memo[0]:
                 memo[:] = bits, [repr(u) + ":" for u in x]
-            yield f"{len(x)} " + " ".join(map(operator.add, memo[1],
-                                              map(repr, _float64(rec.i))))
+            yield f"{len(x)} " + " ".join(map(operator.add, memo[1], map(repr, rec.i)))
 
 
 def _text_pieces(ds: DatasetFile) -> Iterator[str]:
@@ -455,7 +463,7 @@ def _parse_pairs(toks: list[str], npts: int, line: int,
                  memo: list) -> tuple[array, array]:
     """v and i of one series.  memo holds the previous series' v tokens and
     their array: ramps step along one programmed staircase, so most series
-    repeat the v tokens of the one before and copy its array."""
+    repeat the v tokens of the one before and share its array."""
     if len(toks) != npts:
         raise DatasetFormatError(
             f"expected {npts} v:i pairs, found {len(toks)}", line=line
@@ -469,7 +477,7 @@ def _parse_pairs(toks: list[str], npts: int, line: int,
     try:
         if v_toks != memo[0]:
             memo[:] = v_toks, array("d", map(float, v_toks))
-        return array("d", memo[1]), array("d", map(float, flat[1::2]))
+        return memo[1], array("d", map(float, flat[1::2]))
     except ValueError:
         for k, x in enumerate(flat):  # name the first bad token in file order
             _parse(float, x, "vi"[k % 2], line)
@@ -497,9 +505,8 @@ def loads_text(text: str) -> DatasetFile:
     return _load_lines(text.splitlines())
 
 
-def _load_lines(lines: list[str]) -> DatasetFile:
-    """The text reader on a file's str.splitlines(); it sets each line of
-    the list to None once it has parsed it."""
+def _load_lines(lines: Iterable[str]) -> DatasetFile:
+    """The text reader on the lines str.splitlines() makes of a text."""
     check = _Checker()
     try:
         ds = _read_text(lines, check)
@@ -510,14 +517,13 @@ def _load_lines(lines: list[str]) -> DatasetFile:
     return ds
 
 
-def _read_text(lines: list[str], check: _Checker) -> DatasetFile:
+def _read_text(lines: Iterable[str], check: _Checker) -> DatasetFile:
     ds = DatasetFile()
     memo = [None, None]  # the last series' v tokens and array, see _parse_pairs
     seen_format = False
     seen_units = False
     seen_wafer = False
     for line_no, raw in enumerate(lines, start=1):
-        lines[line_no - 1] = None  # no line outlives its parse
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -623,7 +629,6 @@ def _json_series(x, newline: str, memo: list | None) -> str:
     json's C encoder formats as the indent=1 encoder does.  memo, passed for
     v, holds the previous v's bits and text, which a ramp on the same
     staircase reuses: equal bits format alike."""
-    x = _float64(x)
     if memo is not None and (bits := x.tobytes()) == memo[0]:
         return memo[1]
     inner = newline + " "
@@ -711,16 +716,24 @@ def loads_json(text: str) -> DatasetFile:
 def _json_payload(text: str):
     """json.loads' values, with every v and i list of plain numbers made an
     array('d') as it is decoded, so the decoder's float lists die record by
-    record."""
+    record, and a v with the bits of the v before it made that v's array."""
+
+    memo = [None, None]  # the last v's bits and array, shared by a v of equal bits
 
     def series(obj: dict) -> dict:
         for name in ("v", "i"):
             x = obj.get(name)
             if type(x) is list and set(map(type, x)) <= _NUMBERS:
                 try:
-                    obj[name] = array("d", x)
+                    x = array("d", x)
                 except OverflowError:  # an int beyond float: _json_value names it
-                    pass
+                    continue
+                if name == "v":
+                    if (bits := x.tobytes()) == memo[0]:
+                        x = memo[1]
+                    else:
+                        memo[:] = bits, x
+                obj[name] = x
         return obj
 
     try:
@@ -813,33 +826,71 @@ def save_dataset(ds: DatasetFile, path: str, fmt: str | None = None) -> None:
     atomic_write_text(path, pieces)
 
 
-def _read_file(path: str) -> str:
-    """The text that open(path, encoding="utf-8").read() returns.  A regular
-    file is decoded straight from a read-only map of it, so its bytes are
-    not copied onto the heap beside its text."""
-    with open(path, "rb") as handle:
-        info = os.fstat(handle.fileno())
-        if not stat.S_ISREG(info.st_mode) or info.st_size == 0:  # no map of these
-            text = handle.read().decode("utf-8")
-        else:
+def _undecodable(exc: UnicodeDecodeError, line: int) -> DatasetFormatError:
+    return DatasetFormatError(f"not UTF-8 text: {exc.reason} "
+                              f"(byte 0x{exc.object[exc.start]:02x})", line=line)
+
+
+def _file_lines(raws: Iterable[bytes]) -> Iterator[str]:
+    """The lines str.splitlines() makes of the UTF-8 text of raws, a file's
+    bytes split after each newline byte, decoded one byte line at a time.
+    The lines break where text mode's universal newlines and then
+    splitlines() break the whole text: only a newline byte ends a byte
+    line, so no \\r\\n pair or UTF-8 sequence is cut.  An undecodable byte
+    raises DatasetFormatError on its line."""
+    line_no = 0
+    for raw in raws:
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            # the byte lies on the line after those that end before it
+            before = raw[:exc.start].decode("utf-8") + "x"
+            raise _undecodable(exc, line_no + len(before.splitlines())) from None
+        line_no += len(lines)
+        yield from lines
+
+
+def _read_json_text(handle, head: list[bytes]) -> str:
+    """The text that text mode reads from the open binary file handle, of
+    which the byte lines head have been read.  A regular file is decoded
+    straight from a read-only map of it, so its bytes are not copied onto the
+    heap beside its text.  An undecodable byte raises DatasetFormatError on
+    its line, counted as json counts lines."""
+    info = os.fstat(handle.fileno())
+    try:
+        if stat.S_ISREG(info.st_mode) and info.st_size:
             with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
                 text = str(mapped, "utf-8")
+        else:  # no map of a pipe or an empty file
+            text = (b"".join(head) + handle.read()).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = exc.object[:exc.start]
+        breaks = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise _undecodable(exc, breaks + 1) from None
     # the universal newlines of text mode
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_dataset(path: str, fmt: str | None = None) -> DatasetFile:
-    text = _read_file(path)
-    if fmt is None:
-        fmt = "json" if text.lstrip().startswith("{") else "text"
-    if fmt == "text":
-        parsed, read = text.splitlines(), _load_lines
-    elif fmt == "json":
-        parsed, read = _json_payload(text), _json_dataset
-    else:
+    """The dataset in the file at path, in fmt or, when fmt is None, in the
+    format its first character that is not whitespace tells ('{' for JSON).
+    The text reader parses the file a line at a time, never holding its
+    text; the JSON reader decodes the whole text with one json.loads."""
+    with open(path, "rb") as handle:
+        head = []  # the byte lines read to tell the format
+        if fmt is None:
+            first = ""
+            for raw in handle:
+                head.append(raw)
+                # an undecodable byte ends the look; the reader locates it
+                if first := raw.decode("utf-8", "replace").lstrip():
+                    break
+            fmt = "json" if first.startswith("{") else "text"
+        if fmt == "text":
+            return _load_lines(_file_lines(chain(head, handle)))
+        if fmt == "json":
+            return _json_dataset(_json_payload(_read_json_text(handle, head)))
         raise ValueError(f"fmt must be 'text' or 'json', got {fmt!r}")
-    del text  # the reader holds the lines or the JSON values, never the text too
-    return read(parsed)
 
 
 # -------------------------------------------------------- record materializers
@@ -904,7 +955,8 @@ def ramp_traces(ds: DatasetFile) -> list[RampTrace]:
 
 def ramp_blocks(ds: DatasetFile) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The ramps stacked by length: for each length, in ascending order, the
-    file positions of its ramps and their v and i as (ramps, steps) blocks.
+    file positions of its ramps and their v and i as (ramps, steps) blocks,
+    v one (1, steps) row when those ramps share one staircase array.
 
     Every ramp is held to RampTrace's rules at once (breakdown.ramp_faults
     and a positive area).  A dataset with a faulty ramp raises what

@@ -364,7 +364,8 @@ def _stage_bkd(ds, config, out, notes, errors) -> None:
     v_bt = np.empty(n_ramps)  # nan for a ramp that ended without breakdown
     for rows, v, i in ramp_blocks(ds):
         steps = first_jumps(i, config.jump_factor, config.jump_floor_a)
-        v_bt[rows] = np.where(steps > 0, v[np.arange(rows.size), steps], np.nan)
+        at = np.broadcast_to(v, i.shape)[np.arange(rows.size), steps]  # v may be one row
+        v_bt[rows] = np.where(steps > 0, at, np.nan)
     v_bts = v_bt[~np.isnan(v_bt)]
     censored = n_ramps - v_bts.size
     out["n_breakdowns"] = v_bts.size

@@ -32,9 +32,11 @@ with, built on first use, so a caller that only saves the dataset never pays
 for them.  It walks the probed dies once, in row-major order: every die draws
 its thickness and dead flag, and a live die its capacitance cells and ramp.
 Every ramp steps along one voltage staircase, and every I-V sweep along one
-voltage grid: each is built once as an array('d') and every record gets its
-own copy, so changing one record's v changes no other.  The currents go
-from numpy's float64 into the records' array('d') bit for bit.
+voltage grid: each is built once as an array('d') that all its records
+share as their v, while every record holds its own currents.  To change one
+record's v, assign it a new series rather than writing into the shared one.
+The currents go from numpy's float64 into the records' array('d') bit for
+bit.
 
 One call builds one Philox generator and, before each stream's draws, resets
 its state to the start of that stream: zero counter, empty buffer, key
@@ -424,7 +426,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
         ramp.append(RampRecord(row=r, col=c, area_um2=spec.ramp_area_um2,
                                step_v=spec.ramp_step_v,
                                rate_v_per_s=spec.ramp_rate_v_per_s,
-                               v=array("d", staircase), i=array("d", i.tobytes())))
+                               v=staircase, i=array("d", i.tobytes())))
 
     cap = [
         CapRecord(row=r, col=c, area_um2=areas[k], c_ff=x if math.isfinite(x) else None)
@@ -459,7 +461,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
         i = i * _relative_noise(_stream(rng, seed, r, c, _TAG_IV), spec.iv_noise_pct,
                                 v_sweep.size)
         iv.append(IVRecord(row=r, col=c, area_um2=spec.iv_area_um2,
-                           v=array("d", sweep), i=array("d", i.tobytes())))
+                           v=sweep, i=array("d", i.tobytes())))
 
     # resistance series from the two-path model at wafer-mean thickness
     ra_true = spec.ra_mohm_um2

@@ -175,10 +175,10 @@ def sweep_arrays(v, i) -> tuple[np.ndarray, np.ndarray]:
 def sweep_faults(v: np.ndarray, i: np.ndarray) -> np.ndarray:
     """Rows of a (sweeps, points) block of v and i that sweep_arrays refuses:
     fewer than 2 points, a non-finite value, v not strictly increasing, or a
-    step that overflows.  The arithmetic is sweep_arrays' own, row by row, so
-    the verdicts agree."""
+    step that overflows.  v may be one row that every row of i shares.  The
+    arithmetic is sweep_arrays' own, row by row, so the verdicts agree."""
     if v.shape[1] < 2:
-        return np.ones(len(v), dtype=bool)
+        return np.ones(len(i), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         steps = np.diff(v, axis=1)
         return ~(np.isfinite(v).all(axis=1) & np.isfinite(i).all(axis=1)

@@ -145,6 +145,29 @@ def test_load_dataset_reads_empty_files_and_pipes(tmp_path):
         os.close(read_end)
 
 
+@pytest.mark.parametrize("dumps", [dumps_text, dumps_json])
+def test_load_dataset_refuses_a_byte_that_is_not_utf8_on_its_line(tmp_path, dumps):
+    path = tmp_path / "w.dat"
+    data = dumps(sample_dataset()).encode()
+    path.write_bytes(data[:300] + b"\xff\xfe")
+    with pytest.raises(DatasetFormatError) as refused:
+        load_dataset(str(path))
+    assert refused.value.line == data[:300].count(b"\n") + 1
+    assert refused.value.bare_message == "not UTF-8 text: invalid start byte (byte 0xff)"
+    # a cut UTF-8 sequence on a line of its own after a CRLF
+    cut = data.index(b"\n", 300)
+    path.write_bytes(data[:cut] + b"\r\n\xe2\x80\n" + data[cut + 1:])
+    with pytest.raises(DatasetFormatError) as refused:
+        load_dataset(str(path))
+    assert refused.value.line == data[:cut].count(b"\n") + 2
+    assert refused.value.bare_message == ("not UTF-8 text: invalid continuation byte "
+                                          "(byte 0xe2)")
+    if dumps is dumps_text:  # read a line at a time: the first fault in the file wins
+        path.write_bytes(data.replace(b"dataset 1", b"dataset 2", 1) + b"\xff")
+        with pytest.raises(DatasetFormatError, match="^line 1: unsupported format version 2$"):
+            load_dataset(str(path))
+
+
 # --- series held as float64 ---
 
 
@@ -176,15 +199,34 @@ def test_records_refuse_series_of_other_than_numbers(bad):
         RampRecord(0, 0, 25.0, 0.01, 0.07, [0.01, 0.02], bad)
 
 
+def test_a_series_assigned_after_construction_is_converted():
+    ds = generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset
+    for rec in [*ds.ramp, *ds.iv]:
+        rec.v, rec.i = list(rec.v), np.array(rec.i)
+        assert type(rec.v) is type(rec.i) is array
+    assert loads_text(dumps_text(ds)) == ds
+    assert loads_json(dumps_json(ds)) == ds
+    staircase = ds.ramp[1].v
+    ds.ramp[0].v = staircase  # an array('d') is kept, so the two share it
+    assert ds.ramp[0].v is staircase
+    for bad in ("0.25", None, [0.5, 1j]):
+        with pytest.raises(TypeError):
+            ds.ramp[0].i = bad
+
+
 @pytest.mark.parametrize("dumps, loads", [(dumps_text, loads_text), (dumps_json, loads_json)])
-def test_read_records_own_their_arrays(dumps, loads):
+def test_read_records_share_one_staircase_and_own_their_currents(dumps, loads):
     ds = loads(dumps(generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset))
     for kind in ("ramp", "iv"):
-        first, second = getattr(ds, kind)[:2]
-        assert first.v == second.v
+        records = getattr(ds, kind)
+        first, second = records[:2]
         assert {type(x) for x in (first.v, first.i, second.v, second.i)} == {array}
-        first.v[1] = -1.0
-        assert second.v[1] != -1.0, kind
+        # one v object per staircase per reader call
+        assert len({id(rec.v) for rec in records}) == 1, kind
+        first.i[1] = -1.0
+        assert second.i[1] != -1.0, kind
+        first.v = [-1.0, *first.v[1:]]
+        assert type(first.v) is array and second.v[1] != -1.0, kind
 
 
 def _two_ramp_lengths():
@@ -327,7 +369,7 @@ def test_writers_refuse_unequal_series_before_writing(tmp_path, fmt):
         save_dataset(ds, str(path), fmt=fmt)
     assert not path.exists()
     ds.ramp[0].i.append(0.0)
-    ds.iv[2].v.append(3.0)
+    ds.iv[2].v = [*ds.iv[2].v, 3.0]  # rebound: the sweeps share one v
     with pytest.raises(DatasetSchemaError,
                        match=r"^iv record 2: v and i differ in length \(62 vs 61\)$"):
         save_dataset(ds, str(path), fmt=fmt)

@@ -25,6 +25,13 @@ float64 series / with lists of floats:
     load_dataset json    3.33 / 10.75
 
 KEPT_MB sits between the two on each line.
+
+Since the ramps of a wafer share one staircase array and the text reader
+reads the file a line at a time, generate_wafer keeps 2.69 MB (3.96 with a
+staircase copy per ramp), and the text load peaks 1.77 MB above the
+2.14 MB dataset it keeps (5.50 above 3.41 while it held the whole text and
+its lines).  GENERATED_MB and STREAMED_MB sit between the two, each well
+above the first; STREAMED_MB also lies below the 4.35 MB text alone.
 """
 
 import gc
@@ -40,6 +47,8 @@ MB = 1 << 20
 BOUND_MB = {("save", "text"): 6.0, ("save", "json"): 6.0,
             ("load", "text"): 7.0, ("load", "json"): 8.5}
 KEPT_MB = 5.0
+GENERATED_MB = 3.2  # 19 % above 2.69 MB
+STREAMED_MB = 3.0   # 70 % above 1.77 MB
 SPEC28 = preset_spec("etch30", seed=7, rows=28, cols=28, mask_radius=2 * math.sqrt(42.5))
 
 
@@ -83,3 +92,17 @@ def test_a_generated_wafer_keeps_its_series_as_float64():
     ds, _, kept = _traced(lambda: generate_wafer(SPEC28).dataset)
     assert len(ds.ramp) == 536
     assert kept < KEPT_MB
+
+
+def test_a_generated_wafer_keeps_one_staircase():
+    ds, _, kept = _traced(lambda: generate_wafer(SPEC28).dataset)
+    assert len(ds.ramp) == 536
+    assert kept < GENERATED_MB
+
+
+def test_the_text_load_holds_a_line_not_the_text(tmp_path, wafer28):
+    path = str(tmp_path / "w.dat")
+    save_dataset(wafer28, path, "text")
+    back, peak, _ = _traced(load_dataset, path)
+    assert back == wafer28
+    assert peak < STREAMED_MB

@@ -292,3 +292,32 @@ def test_cli_reports_each_file_as_if_it_ran_alone(tmp_path, capsys):
         err = alone[path][1].err
         assert err.startswith(f"jjwafer: error: {path}: ") and err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_cli_reports_the_files_beside_one_that_is_not_utf8(tmp_path, capsys):
+    # 300 bytes of a valid file, then bytes that no UTF-8 text holds
+    bad = []
+    for ext, dumps in (("jjw", dumps_text), ("json", dumps_json)):
+        path = tmp_path / f"bad.{ext}"
+        path.write_bytes(dumps(WAFER).encode()[:300] + b"\xff\xfe")
+        bad.append(str(path))
+    good = str(tmp_path / "wafer.jjw")
+    with open(good, "w", encoding="utf-8") as handle:
+        handle.write(dumps_text(WAFER))
+    paths = [bad[0], good, bad[1]]
+
+    alone = {}
+    for path in paths:
+        code = main(["analyze", "all", path])
+        alone[path] = (code, capsys.readouterr())
+    assert [alone[p][0] for p in paths] == [1, 0, 1]
+
+    assert main(["analyze", "all", *paths]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"== {good} ==\n{alone[good][1].out}"
+    assert captured.err == "".join(alone[p][1].err for p in bad)
+    for path in bad:
+        err = alone[path][1].err
+        assert err.startswith(f"jjwafer: error: {path}: line ") and err.count("\n") == 1
+        assert "not UTF-8 text" in err
+    assert "Traceback" not in captured.err

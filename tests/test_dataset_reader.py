@@ -3,14 +3,18 @@
 * the series rules run per block, yet a file with several faults raises what
   a record-by-record check raises: the first fault in file order, series
   faults included, in both codecs
-* the text reader parses each voltage staircase once and copies its array
-  for the series after it that repeat its v tokens; every record still gets
-  values of its own
+* the text reader parses each voltage staircase once and shares its array
+  with the series after it that repeat its v tokens; every record still
+  gets currents of its own
+* load_dataset reads a text file a line at a time, yet gives what
+  loads_text gives for the file's text: the same dataset, or the same error
+  class, message and line
 * transport.sweep_faults flags exactly the rows sweep_arrays refuses
 """
 
 import json
 import math
+import os
 import random
 import warnings
 
@@ -19,8 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jjwafer import dataset
-from jjwafer.breakdown import check_ramp_steps
-from jjwafer.dataset import dumps_json, dumps_text, loads_json, loads_text
+from jjwafer.breakdown import check_ramp_steps, ramp_faults
+from jjwafer.dataset import dumps_json, dumps_text, load_dataset, loads_json, loads_text
 from jjwafer.errors import DatasetError, DatasetFormatError, DatasetSchemaError
 from jjwafer.synthetic import WaferSpec, generate_wafer
 from jjwafer.transport import sweep_arrays, sweep_faults
@@ -156,6 +160,13 @@ def _json_fault(payload, rng):
         records[k][name] = {"area": -5.0, "row": 5000, "str": "x"}[fault]
 
 
+def _multi_fault_text(seed, rng):
+    lines = dumps_text(BASES[seed % len(BASES)]).splitlines()
+    for _ in range(rng.randint(1, 3)):
+        _text_fault(lines, rng)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("codec", ["text", "json"])
 def test_multi_fault_files_raise_what_a_per_record_check_raises(codec, monkeypatch):
     outcomes = set()
@@ -163,10 +174,7 @@ def test_multi_fault_files_raise_what_a_per_record_check_raises(codec, monkeypat
         rng = random.Random(seed)
         base = BASES[seed % len(BASES)]
         if codec == "text":
-            lines = dumps_text(base).splitlines()
-            for _ in range(rng.randint(1, 3)):
-                _text_fault(lines, rng)
-            got, want = _both(loads_text, "\n".join(lines) + "\n", monkeypatch)
+            got, want = _both(loads_text, _multi_fault_text(seed, rng), monkeypatch)
         else:
             payload = json.loads(dumps_json(base))
             for _ in range(rng.randint(1, 3)):
@@ -178,6 +186,52 @@ def test_multi_fault_files_raise_what_a_per_record_check_raises(codec, monkeypat
     assert {"v must be strictly incre", "v and i must be finite",
             "ramp voltages must advan"} <= outcomes
     assert len(outcomes) > 10
+
+
+def _edge_texts():
+    """Text files at the edges of line splitting and format detection."""
+    text = dumps_text(BASES[1])
+    lines = text.splitlines(keepends=True)
+    ramp = next(k for k, line in enumerate(lines) if line.startswith("ramp "))
+    cap = next(k for k, line in enumerate(lines) if line.startswith("cap "))
+    edges = {"crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r"),
+             "cr-then-crlf": text.replace("\n", "\r", 3).replace("\n", "\r\n"),
+             "no-final-newline": text.rstrip("\n"), "empty": "",
+             "blank-only": " \n\t\r\n\u3000\n",
+             "blank-before": "\n  \n\t\r\n\x0c\u3000\n" + text}
+    # line breaks to str.splitlines alone, inside a record line and at its end
+    for ch in ("\x0c", "\x85", "\u2028"):
+        for where, k, at in (("ramp-mid", ramp, 40), ("ramp-end", ramp, -1),
+                             ("cap-mid", cap, 4)):
+            broken = lines.copy()
+            broken[k] = broken[k][:at] + ch + broken[k][at:]
+            edges[f"{ord(ch):x}-{where}"] = "".join(broken)
+    return edges
+
+
+def test_load_dataset_reads_a_file_as_loads_text_reads_its_text(tmp_path):
+    texts = {f"seed{seed}": _multi_fault_text(seed, random.Random(seed))
+             for seed in range(150)}
+    texts.update(_edge_texts())
+    outcomes = set()
+    for name, text in texts.items():
+        path = tmp_path / "w.dat"
+        path.write_bytes(text.encode())
+        got, want = _outcome(load_dataset, str(path)), _outcome(loads_text, text)
+        assert got == want, name
+        outcomes.add(want[0])
+    assert outcomes == {"accepted", "DatasetFormatError", "DatasetSchemaError"}
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd to name a pipe by")
+    for name in ("crlf", "85-ramp-mid", "empty"):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, texts[name].encode())
+            os.close(write_end)
+            got = _outcome(load_dataset, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert got == _outcome(loads_text, texts[name]), name
 
 
 RAMP_LINE = "ramp 0 {col} 25.0 0.01 0.07 {n} {pairs}"
@@ -235,14 +289,16 @@ def test_a_bad_current_on_a_repeated_staircase_names_its_token():
     assert str(refused.value) == "line 4: v must be a number, got '0.0x'"
 
 
-def test_records_sharing_a_staircase_own_their_lists():
+def test_records_sharing_a_staircase_share_its_array_and_own_their_currents():
     ds = _read(*(_ramp_line(col, STAIR, CURRENTS) for col in range(3)))
-    ds.ramp[1].v[0] = 99.0
-    ds.ramp[1].v.append(1.0)
+    assert ds.ramp[0].v is ds.ramp[1].v is ds.ramp[2].v
+    ds.ramp[1].i[0] = 99.0
+    ds.ramp[1].v = [99.0, 0.02, 0.03, 0.04, 1.0]
     assert [list(rec.v) for rec in ds.ramp] == [[0.01, 0.02, 0.03, 0.04],
                                                 [99.0, 0.02, 0.03, 0.04, 1.0],
                                                 [0.01, 0.02, 0.03, 0.04]]
-    assert ds.ramp[0].v is not ds.ramp[2].v
+    assert [rec.i[0] for rec in ds.ramp] == [1e-12, 99.0, 1e-12]
+    assert ds.ramp[0].v is ds.ramp[2].v
 
 
 def test_a_later_reader_call_shares_nothing_with_an_earlier_one():
@@ -318,3 +374,14 @@ def test_sweep_faults_flags_the_rows_sweep_arrays_refuses(block):
         else:
             refused.append(False)
     assert sweep_faults(v, i).tolist() == refused
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(blocks(), st.sampled_from([0.01, 1.0, 2.5, -1.0]))
+def test_a_shared_staircase_row_gets_the_verdicts_of_its_block(block, step):
+    v, i = block
+    row, step_v = v[:1], np.full(len(i), step)
+    full = np.repeat(row, len(i), axis=0)
+    assert sweep_faults(row, i).tolist() == sweep_faults(full, i).tolist()
+    assert ramp_faults(row, i, step_v).tolist() == ramp_faults(full, i, step_v).tolist()

@@ -154,6 +154,7 @@ def test_analyze_refuses_the_first_faulty_ramp_in_memory(faults, message):
     ds = generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset
     for k, fault in faults.items():
         if fault == "uneven":
+            ds.ramp[k].v = array("d", ds.ramp[k].v)  # a copy: the staircase is shared
             ds.ramp[k].v[7] += 0.003
         else:
             ds.ramp[k].i[3] = math.nan

@@ -70,15 +70,22 @@ def test_in_memory_views_equal_the_materialized_file(tmp_path):
     assert gen.resistance_records == resistance_records(ds)
 
 
-def test_records_own_their_staircase_arrays():
+def test_records_share_one_staircase_and_own_their_currents():
     ds = generate_wafer(preset_spec("etch20", seed=1)).dataset
     for kind in ("ramp", "iv"):
-        first, second = getattr(ds, kind)[:2]
-        assert first.v == second.v
+        records = getattr(ds, kind)
+        first, second = records[:2]
         assert {type(x) for x in (first.v, first.i)} == {array}
         assert first.v.typecode == first.i.typecode == "d"
+        # one v object per staircase per wafer
+        assert len({id(rec.v) for rec in records}) == 1, kind
+        # the currents are each record's own
+        first.i[5] = -1.0
+        assert second.i[5] != -1.0, kind
+        # rebinding one record's v changes that record only
+        first.v = array("d", first.v)
         first.v[5] = -1.0
-        assert second.v[5] != -1.0, kind
+        assert second.v[5] != -1.0 and second.v is records[-1].v, kind
 
 
 def test_generation_is_byte_deterministic():
