@@ -9,12 +9,9 @@ and a small CLI (`jjwafer`) wraps simulation, analysis, and reporting.
 """
 
 from .breakdown import (
-    BreakdownRecord,
     KneeFit,
-    RampTrace,
     WeibullAnalysis,
     critical_defect_density,
-    detect_breakdown,
     find_transition,
     fit_weibull_shape,
     weibull_transform,
@@ -45,7 +42,6 @@ from .dataset import (
     iv_curves,
     load_dataset,
     ramp_blocks,
-    ramp_traces,
     resistance_records,
     save_dataset,
 )
@@ -147,15 +143,14 @@ __all__ = [
     "ResistanceRecord", "AreaResistances", "junction_resistance",
     "plate_resistance", "decompose_resistances",
     # breakdown
-    "RampTrace", "BreakdownRecord", "WeibullAnalysis", "KneeFit",
-    "detect_breakdown", "weibull_transform", "fit_weibull_shape",
+    "WeibullAnalysis", "KneeFit", "weibull_transform", "fit_weibull_shape",
     "find_transition", "critical_defect_density",
     # synthesis
     "WaferSpec", "SyntheticDataset", "generate_wafer", "preset_spec",
     "PRESET_NAMES", "intrinsic_breakdown_field_sample", "bimodal_field_sample",
     # dataset io
     "DatasetFile", "save_dataset", "load_dataset", "cap_areas",
-    "cap_wafer_map", "iv_curves", "ramp_traces", "ramp_blocks", "resistance_records",
+    "cap_wafer_map", "iv_curves", "ramp_blocks", "resistance_records",
     "ground_truth",
     # pipeline
     "STAGES", "AnalysisConfig", "WaferReport", "analyze", "render_text",

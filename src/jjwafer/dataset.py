@@ -48,20 +48,21 @@ same for both formats:
 The checker applies the scalar, duplicate-cell and extent rules as records
 arrive, and the two series rules above per block: it queues the sweeps and
 ramps and checks them stacked by kind and length (transport.sweep_faults,
-breakdown.ramp_faults), as ramp_blocks does for analyze(); a block of
-records that share one staircase stacks it as one row.  Errors are still
-raised in file order: a reader flushes the queue before any later error
-propagates, and the first faulty series re-runs its scalar rule for the
-message.  Errors carry the 1-based line number (text) or name the record, e.g.
-"ramp record 3" (JSON).  A byte that is not UTF-8 is a DatasetFormatError on
-its line.  load_dataset reads a text file a line at a time and never holds
-its text; its lines break where str.splitlines() breaks the text that text
-mode reads, so it reads a file as loads_text reads that text.  It decodes a
-regular JSON file's text from a read-only map of it, so the file's bytes are
-not copied next to its text, and holds the text only until json.loads has
-decoded it.  The text reader parses a series straight into arrays; json.loads
-converts each v and i list to an array as it decodes the record, so its
-float lists die record by record.
+breakdown.ramp_faults) in _judged, the one judging pass that ramp_blocks
+makes for analyze() too; a block of records that share one staircase stacks
+it as one row.  Errors are still raised in file order: a reader flushes the
+queue before any later error propagates, and the first faulty series re-runs
+its scalar rule for the message.  Errors carry the 1-based line number
+(text) or name the record, e.g. "ramp record 3" (JSON).  A byte that is not
+UTF-8 is a DatasetFormatError on its line.  load_dataset reads a text file a
+line at a time and never holds its text; its lines break where
+str.splitlines() breaks the text that text mode reads, so it reads a file as
+loads_text reads that text.  It decodes a regular JSON file's text from a
+read-only map of it, so the file's bytes are not copied next to its text,
+and holds the text only until json.loads has decoded it.  The text reader
+parses a series straight into arrays; json.loads converts each v and i list
+to an array as it decodes the record, so its float lists die record by
+record.
 
 Writers are atomic: content goes to a temp file in the target directory
 which is then renamed over the destination.  Each format's writer is a
@@ -353,12 +354,9 @@ class _Checker:
         faulty = np.zeros(len(queue), dtype=bool)
         for kind in ("iv", "ramp"):
             at = np.flatnonzero([entry[0] == kind for entry in queue])
-            records = [queue[k][1] for k in at]
-            bad = np.zeros(len(records), dtype=bool)
-            step_v = np.array(list(map(_STEP_V, records))) if kind == "ramp" else None
-            for rows, v, i in _stack(records, bad):
-                bad[rows] = (sweep_faults(v, i) if kind == "iv"
-                             else ramp_faults(v, i, step_v[rows]))
+            bad = np.zeros(at.size, dtype=bool)
+            for _ in _judged(kind, [queue[k][1] for k in at], bad):
+                pass  # one block at a time, so no two are held at once
             faulty[at] = bad
         for entry in compress(queue, faulty):
             _check_series(*entry)
@@ -392,6 +390,17 @@ def _stack(records: list, faulty: np.ndarray):
         shared = len(set(map(id, vs))) == 1
         v = np.array(vs[0] if shared else vs).reshape(1 if shared else rows.size, size)
         yield rows, v, np.array(list(map(_I, group))).reshape(rows.size, size)
+
+
+def _judged(kind: str, records: list, faulty: np.ndarray):
+    """_stack's blocks of records, each yielded once its rows that break the
+    series rules of kind (sweep_faults, or ramp_faults against each ramp's
+    step_v, taken unconverted) are marked in faulty."""
+    step_v = np.array(list(map(_STEP_V, records))) if kind == "ramp" else None
+    for rows, v, i in _stack(records, faulty):
+        faulty[rows] = (sweep_faults(v, i) if kind == "iv"
+                        else ramp_faults(v, i, step_v[rows]))
+        yield rows, v, i
 
 
 # ---------------------------------------------------------------- text format
@@ -966,12 +975,7 @@ def ramp_blocks(ds: DatasetFile) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
     try:
         areas = map(operator.attrgetter("area_um2"), records)
         faulty = ~np.fromiter(map(operator.gt, areas, repeat(0.0)), bool, len(records))
-        # unconverted, so a step_v RampTrace cannot use fails here too
-        step_v = np.array(list(map(_STEP_V, records)))
-        blocks = []
-        for rows, v, i in _stack(records, faulty):
-            faulty[rows] = ramp_faults(v, i, step_v[rows])
-            blocks.append((rows, v, i))
+        blocks = list(_judged("ramp", records, faulty))
     except (TypeError, ValueError, OverflowError):
         ramp_traces(ds)  # entries that do not stack: RampTrace names the first
         raise

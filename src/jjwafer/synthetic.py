@@ -26,17 +26,17 @@ Per-die quantities synthesized:
 Ground truth (per-die thickness, intrinsic fields, failure voltages, defect
 counts, the generating parameters) rides along in the dataset metadata as a
 JSON snapshot, so analysis results can always be compared with what produced
-them.  The generator writes dataset records; the in-memory views of
-SyntheticDataset come from the same materializers analyze() reads a file
-with, built on first use, so a caller that only saves the dataset never pays
-for them.  It walks the probed dies once, in row-major order: every die draws
-its thickness and dead flag, and a live die its capacitance cells and ramp.
-Every ramp steps along one voltage staircase, and every I-V sweep along one
-voltage grid: each is built once as an array('d') that all its records
-share as their v, while every record holds its own currents.  To change one
-record's v, assign it a new series rather than writing into the shared one.
-The currents go from numpy's float64 into the records' array('d') bit for
-bit.
+them.  The generator writes dataset records, which a caller turns into
+curves, traces or blocks with the same materializers analyze() reads a file
+with; SyntheticDataset keeps one view, its cap maps, built on first use, so
+a caller that only saves the dataset never pays for it.  It walks the probed
+dies once, in row-major order: every die draws its thickness and dead flag,
+and a live die its capacitance cells and ramp.  Every ramp steps along one
+voltage staircase, and every I-V sweep along one voltage grid: each is built
+once as an array('d') that all its records share as their v, while every
+record holds its own currents.  To change one record's v, assign it a new
+series rather than writing into the shared one.  The currents go from numpy's
+float64 into the records' array('d') bit for bit.
 
 One call builds one Philox generator and, before each stream's draws, resets
 its state to the start of that stream: zero counter, empty buffer, key
@@ -55,11 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .breakdown import (
-    DEFAULT_RAMP_RATE_V_PER_S,
-    DEFAULT_RAMP_STEP_V,
-    RampTrace,
-)
+from .breakdown import DEFAULT_RAMP_RATE_V_PER_S, DEFAULT_RAMP_STEP_V
 from .capacitance import EPS_R_REFERENCE, WaferMap
 from .constants import CONST, nm_to_m, um2_to_cm2, um2_to_m2, f_to_ff
 from .dataset import (
@@ -70,14 +66,10 @@ from .dataset import (
     RampRecord,
     ResRecordRow,
     cap_wafer_map,
-    iv_curves,
-    ramp_traces,
-    resistance_records,
 )
 from .geometry import DEFAULT_BOTTOM_THICKNESS_UM, JunctionGeometry
-from .resistance import ResistanceRecord, junction_resistance
+from .resistance import junction_resistance
 from .transport import (
-    IVCurve,
     OxideModel,
     composite_current,
     direct_tunneling_current,
@@ -310,11 +302,14 @@ def preset_spec(name: str, seed: int = 0, **overrides) -> WaferSpec:
 
 @dataclass
 class SyntheticDataset:
-    """Result of generate_wafer: the serializable container and its truth.
+    """Result of generate_wafer: the spec it ran, the ground truth it drew,
+    and the dataset records it wrote, which the dataset module's
+    materializers (iv_curves, ramp_traces, ramp_blocks, resistance_records)
+    turn into analysis objects as they do for a loaded file.
 
-    maps (one per probed area, in spec order), iv_curves, ramps and
-    resistance_records are views of dataset, each built by its materializer
-    on first access and kept.
+    maps, one WaferMap per probed area in spec order, is built by
+    cap_wafer_map on first access and kept; the benchmark's grid checks
+    read it.
     """
 
     spec: WaferSpec
@@ -325,18 +320,6 @@ class SyntheticDataset:
     def maps(self) -> dict[float, WaferMap]:
         return {a: cap_wafer_map(self.dataset, a)
                 for a in map(float, self.spec.cap_areas_um2)}
-
-    @cached_property
-    def iv_curves(self) -> list[IVCurve]:
-        return iv_curves(self.dataset)
-
-    @cached_property
-    def ramps(self) -> list[RampTrace]:
-        return ramp_traces(self.dataset)
-
-    @cached_property
-    def resistance_records(self) -> list[ResistanceRecord]:
-        return resistance_records(self.dataset)
 
 
 def _nan_to_none(grid: np.ndarray) -> list:

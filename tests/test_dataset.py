@@ -539,3 +539,18 @@ def test_ramp_blocks_hold_every_ramp_to_the_rules_of_ramp_traces(records):
         for row, v_row, i_row in zip(rows.tolist(), v, i):
             assert np.array_equal(v_row, traces[row].v)
             assert np.array_equal(i_row, traces[row].i)
+
+
+@pytest.mark.parametrize("name, value", [("step_v", "0.01"), ("step_v", None),
+                                         ("area_um2", "25"), ("area_um2", None)])
+def test_ramps_that_do_not_stack_raise_what_ramp_traces_raises(name, value):
+    # an in-memory ramp whose scalar is not a number; the readers refuse it
+    ds = generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset
+    setattr(ds.ramp[2], name, value)
+    with pytest.raises(TypeError) as expected:  # numpy's UFuncTypeError for "0.01"
+        ramp_traces(ds)
+    for refuse in (ramp_blocks, analyze):
+        with pytest.raises(TypeError) as refused:
+            refuse(ds)
+        assert (type(refused.value), str(refused.value)) == \
+            (expected.type, str(expected.value))

@@ -1,7 +1,11 @@
-"""Every exported name resolves, so a deletion cannot leave an export behind."""
+"""Every exported name resolves, so a deletion cannot leave an export behind,
+and every function the benchmark's tracer wraps still exists."""
 
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -16,3 +20,19 @@ def test_every_name_in_all_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), "__all__ lists a name twice"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_every_traced_layer_function_resolves(monkeypatch):
+    # bench/tracing.py wraps these by name; a missing one fails `--trace 1`
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYER_FUNCTIONS
+    missing = []
+    for name in tracing.LAYER_FUNCTIONS:
+        home, fn = name.split(".")
+        if not callable(getattr(importlib.import_module(f"jjwafer.{home}"), fn, None)):
+            missing.append(name)
+    assert missing == []

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from jjwafer.dataset import iv_curves, resistance_records
 from jjwafer.errors import AnalysisError
 from jjwafer.geometry import JunctionGeometry
 from jjwafer.iv_analysis import fit_k_from_dt, segment_regimes
@@ -45,7 +46,7 @@ def _bisect_k(g, t_ox, area):
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_k_matches_a_bisection_oracle_on_every_preset_sweep(preset):
     spec = preset_spec(preset, seed=0)
-    curves = generate_wafer(spec).iv_curves
+    curves = iv_curves(generate_wafer(spec).dataset)
     assert curves
     for curve in curves:
         seg = segment_regimes(curve)
@@ -59,7 +60,7 @@ def test_sidewall_leaves_the_range_edge_on_etch30_seed_2():
     # the sidewall signal of this wafer is weak; the joint fit must still
     # find RA_S inside its range instead of parking it at the 1e9 edge
     gen = generate_wafer(preset_spec("etch30", seed=2))
-    out = decompose_resistances(gen.resistance_records)
+    out = decompose_resistances(resistance_records(gen.dataset))
     assert out.ra == pytest.approx(gen.ground_truth["ra_mohm_um2"], rel=0.02)
     assert out.ra_s < 1e9
 

@@ -37,9 +37,9 @@ def test_reference_mask_probes_140_dies():
     probed = np.array(ds.ground_truth["probed_map"])
     assert probed.sum() == 140
     assert sorted(ds.maps) == [1.0, 25.0, 50.0, 100.0, 400.0, 1600.0]
-    assert len(ds.ramps) == 140
-    assert len(ds.iv_curves) == 5
-    assert len(ds.resistance_records) == 12
+    assert len(ramp_traces(ds.dataset)) == 140
+    assert len(iv_curves(ds.dataset)) == 5
+    assert len(resistance_records(ds.dataset)) == 12
     for m in ds.maps.values():
         assert np.array_equal(m.probed, probed)
 
@@ -60,14 +60,14 @@ def test_in_memory_views_equal_the_materialized_file(tmp_path):
         assert np.array_equal(m.values, back.values, equal_nan=True)
         assert np.array_equal(m.probed, back.probed)
         assert (m.area_um2, m.label, m.units) == (back.area_um2, back.label, back.units)
-    for mine, back in zip(gen.iv_curves, iv_curves(ds), strict=True):
+    for mine, back in zip(iv_curves(gen.dataset), iv_curves(ds), strict=True):
         assert np.array_equal(mine.v, back.v) and np.array_equal(mine.i, back.i)
         assert (mine.die, mine.area_um2, mine.label) == (back.die, back.area_um2, back.label)
-    for mine, back in zip(gen.ramps, ramp_traces(ds), strict=True):
+    for mine, back in zip(ramp_traces(gen.dataset), ramp_traces(ds), strict=True):
         assert np.array_equal(mine.v, back.v) and np.array_equal(mine.i, back.i)
         assert ((mine.die, mine.area_um2, mine.step_v, mine.rate_v_per_s)
                 == (back.die, back.area_um2, back.step_v, back.rate_v_per_s))
-    assert gen.resistance_records == resistance_records(ds)
+    assert resistance_records(gen.dataset) == resistance_records(ds)
 
 
 def test_records_share_one_staircase_and_own_their_currents():
@@ -151,8 +151,7 @@ def test_reset_stream_draws_what_a_fresh_generator_draws():
             == _fresh(5, synthetic._WAFER_STREAM_BASE).uniform())
 
 
-_VIEWS = {"cap_wafer_map": "maps", "iv_curves": "iv_curves",
-          "ramp_traces": "ramps", "resistance_records": "resistance_records"}
+_VIEWS = {"cap_wafer_map": "maps"}
 
 
 def test_views_are_built_on_first_use_and_once(tmp_path, monkeypatch):
@@ -173,8 +172,7 @@ def test_views_are_built_on_first_use_and_once(tmp_path, monkeypatch):
         monkeypatch.setattr(synthetic, name, counted)
     for name, view in _VIEWS.items():
         assert getattr(gen, view) is getattr(gen, view)
-    assert calls == {"cap_wafer_map": len(spec.cap_areas_um2), "iv_curves": 1,
-                     "ramp_traces": 1, "resistance_records": 1}
+    assert calls == {"cap_wafer_map": len(spec.cap_areas_um2)}
 
 
 def test_die_draws_do_not_depend_on_grid_size():
@@ -227,8 +225,9 @@ def test_ramp_failures_land_on_grid_and_are_detectable():
     v_bt = {(r, c): x
             for r, row in enumerate(ds.ground_truth["v_bt_map_v"])
             for c, x in enumerate(row) if x is not None}
-    assert len(v_bt) == len(ds.ramps) == 140
-    for trace in ds.ramps:
+    traces = ramp_traces(ds.dataset)
+    assert len(v_bt) == len(traces) == 140
+    for trace in traces:
         truth = v_bt[trace.die]
         # failure voltages sit on the 10 mV staircase
         assert abs(truth / 0.01 - round(truth / 0.01)) < 1e-9
@@ -243,7 +242,7 @@ def test_ramp_without_failure_in_range_has_no_jump():
     )
     assert all(x is None for row in ds.ground_truth["v_bt_map_v"] for x in row)
     with pytest.raises(NoBreakdownError):
-        detect_breakdown(ds.ramps[0])
+        detect_breakdown(ramp_traces(ds.dataset)[0])
 
 
 def test_dead_dies_are_skipped_everywhere():
@@ -253,11 +252,12 @@ def test_dead_dies_are_skipped_everywhere():
     m = ds.maps[25.0]
     assert m.n_probed == 140
     assert m.n_valid == 140 - n_dead
-    assert len(ds.ramps) == 140 - n_dead
+    traces = ramp_traces(ds.dataset)
+    assert len(traces) == 140 - n_dead
     dead = {(r, c) for r, row in enumerate(ds.ground_truth["dead_map"])
             for c, x in enumerate(row) if x}
-    assert not dead & {t.die for t in ds.ramps}
-    assert not dead & {cur.die for cur in ds.iv_curves}
+    assert not dead & {t.die for t in traces}
+    assert not dead & {cur.die for cur in iv_curves(ds.dataset)}
 
 
 def test_noiseless_channels_equal_the_models_exactly():
@@ -265,11 +265,11 @@ def test_noiseless_channels_equal_the_models_exactly():
     gt = ds.ground_truth
     model = OxideModel(t_ox=4.4, k=15.7, eps_r=ds.spec.eps_r, beta=1.0,
                        m_rel=0.75, fn_scale=gt["fn_scale"])
-    for cur in ds.iv_curves:
+    for cur in iv_curves(ds.dataset):
         assert np.array_equal(cur.i, composite_current(cur.v, 25.0, model))
     assert gt["ra_mohm_um2"] == implied_area_resistance(15.7, 4.4)
     assert gt["ra_s_mohm_um2"] == gt["ra_mohm_um2"]
-    for rec in ds.resistance_records:
+    for rec in resistance_records(ds.dataset):
         assert rec.r_mohm == junction_resistance(
             rec.geometry, gt["ra_mohm_um2"], gt["ra_s_mohm_um2"]
         )
