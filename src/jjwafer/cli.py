@@ -160,11 +160,10 @@ def _cmd_simulate(args) -> int:
                     return EXIT_INVALID
             spec = dataclasses.replace(spec, **updates)
         result = generate_wafer(spec)
-    except (KeyError, ValueError) as exc:
+        save_dataset(result.dataset, args.out, fmt=args.format)
+    except (KeyError, ValueError, DatasetError) as exc:  # save_dataset refuses up front
         print(f"jjwafer: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        save_dataset(result.dataset, args.out, fmt=args.format)
     except OSError as exc:
         print(f"jjwafer: error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -31,8 +31,8 @@ while each record holds its own currents.  So to change a record's v,
 assign it a new series rather than writing into the shared one.
 
 Both readers only parse, raising DatasetFormatError for syntax and type
-faults, and hand every record to one checker (_Checker).  Its rules, the
-same for both formats:
+faults, and hand every record to one checker (_Checker), which the writers
+run too.  Its rules, the same for both formats:
 
 * die indices are ints in [0, MAX_GRID) (a JSON bool is not an int)
 * every other number is finite, and > 0 except a capacitance reading
@@ -47,22 +47,23 @@ same for both formats:
 
 The checker applies the scalar, duplicate-cell and extent rules as records
 arrive, and the two series rules above per block: it queues the sweeps and
-ramps and checks them stacked by kind and length (transport.sweep_faults,
+ramps, flushes the queue once it holds _FLUSH_SERIES (256) of them, and
+checks each flush stacked by kind and length (transport.sweep_faults,
 breakdown.ramp_faults) in _judged, the one judging pass that ramp_blocks
 makes for analyze() too; a block of records that share one staircase stacks
-it as one row.  Errors are still raised in file order: a reader flushes the
-queue before any later error propagates, and the first faulty series re-runs
-its scalar rule for the message.  Errors carry the 1-based line number
-(text) or name the record, e.g. "ramp record 3" (JSON).  A byte that is not
-UTF-8 is a DatasetFormatError on its line.  load_dataset reads a text file a
-line at a time and never holds its text; its lines break where
-str.splitlines() breaks the text that text mode reads, so it reads a file as
-loads_text reads that text.  It decodes a regular JSON file's text from a
-read-only map of it, so the file's bytes are not copied next to its text,
-and holds the text only until json.loads has decoded it.  The text reader
-parses a series straight into arrays; json.loads converts each v and i list
-to an array as it decodes the record, so its float lists die record by
-record.
+it as one row.  So no reader or writer holds more than one flush's blocks.
+Errors are still raised in file order: the checker flushes the queue before
+any later error propagates, and the first faulty series re-runs its scalar
+rule for the message.  Errors carry the 1-based line number (text) or name
+the record, e.g. "ramp record 3" (JSON).  A byte that is not UTF-8 is a
+DatasetFormatError on its line.  load_dataset reads a text file a line at a
+time and never holds its text; its lines break where str.splitlines()
+breaks the text that text mode reads, so it reads a file as loads_text
+reads that text.  It decodes a regular JSON file's text from a read-only map
+of it, so the file's bytes are not copied next to its text, and holds the
+text only until json.loads has decoded it.  The text reader parses a series
+straight into arrays; json.loads converts each v and i list to an array as
+it decodes the record, so its float lists die record by record.
 
 Writers are atomic: content goes to a temp file in the target directory
 which is then renamed over the destination.  Each format's writer is a
@@ -73,12 +74,13 @@ streaming removes the temp file and leaves the destination as it was.
 
 Floats are written with repr(), which round-trips exactly, so
 load(save(ds)) == ds field for field.  Before they write anything, both
-writers refuse wafer and meta entries that the text format cannot hold
-(dumps_json with the error loads_json raises for them) and a series whose v
-and i differ in length.  Each writer formats a voltage staircase once: a v
-with the bits of the v before it reuses its text, as equal bits format
-alike (-0.0 == 0.0, yet their bits and text differ).  dumps_text writes
-repr(float(x)) per value.  dumps_json writes the layout of
+writers run ds through the checker as loads_json does, after the JSON
+reader's type rule on each scalar (_check_dataset): each refuses what
+loads_json refuses of the JSON text of ds, with the same error, so every
+file either one writes reads back.  Each writer formats a voltage staircase
+once: a v with the bits of the v before it reuses its text, as equal bits
+format alike (-0.0 == 0.0, yet their bits and text differ).  dumps_text
+writes repr(float(x)) per value.  dumps_json writes the layout of
 json.dumps(payload, sort_keys=True, indent=1) itself: records in sorted key
 order, finite floats and ints with their repr, and a series with one call
 of json's C encoder, which formats floats as the indent=1 encoder does;
@@ -292,6 +294,11 @@ def _check_extent(limits, top) -> None:
                          f"the declared grid of {limit} {axis}s", where)
 
 
+def _index_fault(name: str, index: int, where) -> DatasetError:
+    return _fault(DatasetSchemaError, f"die indices must be >= 0 and < {MAX_GRID}, "
+                  f"got {name} {index}", where)
+
+
 def _check_series(kind: str, rec, where) -> None:
     """The series rules on one sweep or ramp, raising the first one's error."""
     try:
@@ -302,11 +309,16 @@ def _check_series(kind: str, rec, where) -> None:
         raise _fault(DatasetSchemaError, str(exc), where) from None
 
 
-class _Checker:
-    """The schema's value rules, fed one dataset in file order by a reader.
+_FLUSH_SERIES = 256  # series _Checker queues before it flushes them
 
-    The series rules wait in a queue for flush(), which a reader calls before
-    it lets any later DatasetError propagate, and finish() calls last."""
+
+class _Checker:
+    """The schema's value rules, fed one dataset in file order by a reader
+    or a writer's gate, and used as a context manager around that feed.
+
+    The series rules wait in a queue for flush(), which runs once the queue
+    holds _FLUSH_SERIES series, before a DatasetError leaves the with block,
+    and from finish(), which the block calls when it ends without one."""
 
     def __init__(self):
         self.limits: tuple[int | None, int | None] = (None, None)
@@ -314,24 +326,33 @@ class _Checker:
         self.cells: set[tuple[int, int, float]] = set()
         self.series: list[tuple[str, object, object]] = []  # (kind, rec, where)
 
+    def __enter__(self) -> _Checker:
+        return self
+
+    def __exit__(self, cls, exc, tb) -> None:
+        if cls is None:
+            self.finish()
+        elif issubclass(cls, DatasetError):
+            self.flush()  # a series fault met earlier comes first
+
     def wafer(self, wafer: dict[str, str], where) -> None:
         _check_attrs("wafer", wafer, where)
         self.limits = _grid_limits(wafer, where)
 
     def record(self, kind: str, rec, where) -> None:
+        # a writer's gate hands in ints and np.float64: name them as floats
         for name, ftype in _SCHEMA[kind][2]:
             x = getattr(rec, name)
             if ftype is _INDEX:
                 if not 0 <= x < MAX_GRID:
-                    raise _fault(DatasetSchemaError, f"die indices must be >= 0 "
-                                 f"and < {MAX_GRID}, got {name} {x}", where)
+                    raise _index_fault(name, x, where)
             elif ftype is _POSITIVE or ftype is _READING and x is not None:
                 if not math.isfinite(x):
                     raise _fault(DatasetFormatError, f"{name} must be finite, "
-                                 f"got {x!r}", where)
+                                 f"got {float(x)!r}", where)
                 if ftype is _POSITIVE and not x > 0.0:
                     raise _fault(DatasetSchemaError, f"{name} must be positive, "
-                                 f"got {x!r}", where)
+                                 f"got {float(x)!r}", where)
         if kind == "res":
             return
         for axis, index in enumerate((rec.row, rec.col)):
@@ -341,11 +362,13 @@ class _Checker:
             cell = (rec.row, rec.col, rec.area_um2)
             if cell in self.cells:
                 raise _fault(DatasetSchemaError, f"duplicate cap record for die "
-                             f"({rec.row}, {rec.col}) at area {rec.area_um2!r}",
-                             where)
+                             f"({rec.row}, {rec.col}) at area "
+                             f"{float(rec.area_um2)!r}", where)
             self.cells.add(cell)
             return
         self.series.append((kind, rec, where))
+        if len(self.series) >= _FLUSH_SERIES:
+            self.flush()
 
     def flush(self) -> None:
         """Apply the series rules to the queued records, a block per kind and
@@ -405,27 +428,13 @@ def _judged(kind: str, records: list, faulty: np.ndarray):
 
 # ---------------------------------------------------------------- text format
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _check_lengths(ds: DatasetFile) -> None:
-    """Both writers refuse a series whose v and i differ in length before
-    they write anything, naming the first such record."""
-    for kind in ("iv", "ramp"):
-        for n, rec in enumerate(getattr(ds, kind)):
-            if len(rec.v) != len(rec.i):
-                raise _fault(DatasetSchemaError, f"v and i differ in length "
-                             f"({len(rec.v)} vs {len(rec.i)})", f"{kind} record {n}")
-
-
 def _text_tokens(rec, schema, memo: list):
     for name, ftype in schema:
         x = getattr(rec, name)
         if ftype is _INDEX:
             yield str(x)
         elif ftype is not _SERIES:
-            yield "X" if x is None else _fmt(x)
+            yield "X" if x is None else repr(float(x))
         elif name == "v":
             # memo holds the previous series' v bits and its "repr:" prefixes,
             # which a ramp on the same staircase reuses: equal bits format alike
@@ -434,16 +443,8 @@ def _text_tokens(rec, schema, memo: list):
             yield f"{len(x)} " + " ".join(map(operator.add, memo[1], map(repr, rec.i)))
 
 
-def _text_pieces(ds: DatasetFile) -> Iterator[str]:
-    """The text of ds, a line per piece, after the refusals that come before
-    anything is written."""
-    _check_attrs("wafer", ds.wafer, None)
-    _check_attrs("meta", ds.meta, None)
-    _check_lengths(ds)
-    return _text_lines(ds)
-
-
 def _text_lines(ds: DatasetFile) -> Iterator[str]:
+    """The text of ds, a line per piece."""
     yield f"format {FORMAT_NAME} {FORMAT_VERSION}\n"
     yield "units " + " ".join(f"{k}={v}" for k, v in CANONICAL_UNITS.items()) + "\n"
     if ds.wafer:
@@ -457,7 +458,8 @@ def _text_lines(ds: DatasetFile) -> Iterator[str]:
 
 
 def dumps_text(ds: DatasetFile) -> str:
-    return "".join(_text_pieces(ds))
+    _check_dataset(ds)
+    return "".join(_text_lines(ds))
 
 
 def _parse(cast: type, tok: str, what: str, line: int):
@@ -516,14 +518,8 @@ def loads_text(text: str) -> DatasetFile:
 
 def _load_lines(lines: Iterable[str]) -> DatasetFile:
     """The text reader on the lines str.splitlines() makes of a text."""
-    check = _Checker()
-    try:
-        ds = _read_text(lines, check)
-    except DatasetError:
-        check.flush()  # a series fault on an earlier line comes first
-        raise
-    check.finish()
-    return ds
+    with _Checker() as check:
+        return _read_text(lines, check)
 
 
 def _read_text(lines: Iterable[str], check: _Checker) -> DatasetFile:
@@ -665,17 +661,8 @@ def _json_records(records: list, schema) -> Iterator[str]:
     yield "[]" if opening == "[" else "\n ]"
 
 
-def _json_pieces(ds: DatasetFile) -> Iterator[str]:
-    """The JSON text of ds, a record per piece, after the refusals that come
-    before anything is written: loads_json's on wafer and meta entries, then
-    unequal series."""
-    _check_attrs("wafer", ds.wafer, "wafer")
-    _check_attrs("meta", ds.meta, "meta")
-    _check_lengths(ds)
-    return _json_lines(ds)
-
-
 def _json_lines(ds: DatasetFile) -> Iterator[str]:
+    """The JSON text of ds, a record per piece."""
     head = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -695,13 +682,16 @@ def _json_lines(ds: DatasetFile) -> Iterator[str]:
 
 
 def dumps_json(ds: DatasetFile) -> str:
-    return "".join(_json_pieces(ds))
+    _check_dataset(ds)
+    return "".join(_json_lines(ds))
 
 
-def _json_value(rec: dict, name: str, ftype: str, where: str):
-    if name not in rec:
+_MISSING = object()  # the value of a key a JSON record lacks
+
+
+def _json_value(x, name: str, ftype: str, where: str):
+    if x is _MISSING:
         raise DatasetSchemaError(f"{where}: missing key {name!r}")
-    x = rec[name]
     try:
         if ftype is _INDEX:
             if type(x) is int:
@@ -709,7 +699,7 @@ def _json_value(rec: dict, name: str, ftype: str, where: str):
         elif ftype is _SERIES:
             if type(x) is array:  # see _json_payload
                 return x
-        elif type(x) in (int, float):
+        elif type(x) is int or isinstance(x, float):  # not a bool
             return float(x)
         elif ftype is _READING and x is None:
             return None
@@ -763,18 +753,10 @@ def _json_dataset(payload) -> DatasetFile:
         raise DatasetUnitError(
             f"units must equal {CANONICAL_UNITS!r}; convert before ingest"
         )
-    ds = DatasetFile()
-    check = _Checker()
-    for section in ("wafer", "meta"):
-        attrs = payload.get(section, {})
-        if not isinstance(attrs, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
-        ):
-            raise DatasetSchemaError(f"{section!r} must map strings to strings")
-        setattr(ds, section, dict(attrs))
-    check.wafer(ds.wafer, "wafer")
-    _check_attrs("meta", ds.meta, "meta")
-    try:
+    with _Checker() as check:
+        wafer, meta = payload.get("wafer", {}), payload.get("meta", {})
+        _json_head(wafer, meta, check)
+        ds = DatasetFile(dict(wafer), dict(meta))
         for kind, (cls, schema, _) in _SCHEMA.items():
             records = payload.get(kind, [])
             if not isinstance(records, list):
@@ -783,15 +765,37 @@ def _json_dataset(payload) -> DatasetFile:
                 where = f"{kind} record {idx}"
                 if not isinstance(raw, dict):
                     raise DatasetFormatError(f"{where}: must be an object")
-                rec = cls(**{name: _json_value(raw, name, ftype, where)
+                rec = cls(**{name: _json_value(raw.get(name, _MISSING), name, ftype, where)
                              for name, ftype in schema})
                 check.record(kind, rec, where)
                 getattr(ds, kind).append(rec)
-    except DatasetError:
-        check.flush()  # a series fault in an earlier record comes first
-        raise
-    check.finish()
     return ds
+
+
+def _json_head(wafer, meta, check: _Checker) -> None:
+    """loads_json's rules on the wafer and meta entries."""
+    for section, attrs in (("wafer", wafer), ("meta", meta)):
+        if not isinstance(attrs, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
+        ):
+            raise DatasetSchemaError(f"{section!r} must map strings to strings")
+    check.wafer(wafer, "wafer")
+    _check_attrs("meta", meta, "meta")
+
+
+def _check_dataset(ds: DatasetFile) -> None:
+    """The writers' gate: raise what loads_json raises for the JSON text of
+    ds, before anything is written.  Each record's scalars meet the JSON
+    reader's type rule (_json_value) before the checker's value rules."""
+    with _Checker() as check:
+        # entries in the key order of the JSON text
+        _json_head(*(dict(sorted(attrs.items())) for attrs in (ds.wafer, ds.meta)), check)
+        for kind, (_, _, scalars) in _SCHEMA.items():
+            for n, rec in enumerate(getattr(ds, kind)):
+                where = f"{kind} record {n}"
+                for name, ftype in scalars:
+                    _json_value(getattr(rec, name), name, ftype, where)
+                check.record(kind, rec, where)
 
 
 # ------------------------------------------------------------------------ io
@@ -826,13 +830,10 @@ def atomic_write_text(path: str, pieces: Iterable[str]) -> None:
 def save_dataset(ds: DatasetFile, path: str, fmt: str | None = None) -> None:
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "text"
-    if fmt == "text":
-        pieces = _text_pieces(ds)
-    elif fmt == "json":
-        pieces = _json_pieces(ds)
-    else:
+    if fmt not in ("text", "json"):
         raise ValueError(f"fmt must be 'text' or 'json', got {fmt!r}")
-    atomic_write_text(path, pieces)
+    _check_dataset(ds)
+    atomic_write_text(path, _text_lines(ds) if fmt == "text" else _json_lines(ds))
 
 
 def _undecodable(exc: UnicodeDecodeError, line: int) -> DatasetFormatError:
@@ -880,26 +881,21 @@ def _read_json_text(handle, head: list[bytes]) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def load_dataset(path: str, fmt: str | None = None) -> DatasetFile:
-    """The dataset in the file at path, in fmt or, when fmt is None, in the
-    format its first character that is not whitespace tells ('{' for JSON).
-    The text reader parses the file a line at a time, never holding its
-    text; the JSON reader decodes the whole text with one json.loads."""
+def load_dataset(path: str) -> DatasetFile:
+    """The dataset in the file at path, in the format its first character
+    that is not whitespace tells ('{' for JSON, else text).  The text reader
+    parses the file a line at a time, never holding its text; the JSON
+    reader decodes the whole text with one json.loads."""
     with open(path, "rb") as handle:
-        head = []  # the byte lines read to tell the format
-        if fmt is None:
-            first = ""
-            for raw in handle:
-                head.append(raw)
-                # an undecodable byte ends the look; the reader locates it
-                if first := raw.decode("utf-8", "replace").lstrip():
-                    break
-            fmt = "json" if first.startswith("{") else "text"
-        if fmt == "text":
-            return _load_lines(_file_lines(chain(head, handle)))
-        if fmt == "json":
+        head, first = [], ""  # the byte lines read to tell the format
+        for raw in handle:
+            head.append(raw)
+            # an undecodable byte ends the look; the reader locates it
+            if first := raw.decode("utf-8", "replace").lstrip():
+                break
+        if first.startswith("{"):
             return _json_dataset(_json_payload(_read_json_text(handle, head)))
-        raise ValueError(f"fmt must be 'text' or 'json', got {fmt!r}")
+        return _load_lines(_file_lines(chain(head, handle)))
 
 
 # -------------------------------------------------------- record materializers
@@ -932,6 +928,9 @@ def cap_wafer_map(ds: DatasetFile, area_um2: float) -> WaferMap:
         if rec.area_um2 != area_um2:
             continue
         found = True
+        if rec.row < 0 or rec.col < 0:  # numpy would count it from the far edge
+            name = "row" if rec.row < 0 else "col"
+            raise _index_fault(name, getattr(rec, name), None)
         probed[rec.row, rec.col] = True
         if rec.c_ff is not None:
             values[rec.row, rec.col] = rec.c_ff

@@ -365,13 +365,13 @@ def test_writers_refuse_unequal_series_before_writing(tmp_path, fmt):
     ds.ramp[0].i.pop()
     path = tmp_path / "w.dat"
     with pytest.raises(DatasetSchemaError,
-                       match=r"^ramp record 0: v and i differ in length \(300 vs 299\)$"):
+                       match=r"^ramp record 0: v and i must be 1-D arrays of equal length$"):
         save_dataset(ds, str(path), fmt=fmt)
     assert not path.exists()
     ds.ramp[0].i.append(0.0)
     ds.iv[2].v = [*ds.iv[2].v, 3.0]  # rebound: the sweeps share one v
     with pytest.raises(DatasetSchemaError,
-                       match=r"^iv record 2: v and i differ in length \(62 vs 61\)$"):
+                       match=r"^iv record 2: v and i must be 1-D arrays of equal length$"):
         save_dataset(ds, str(path), fmt=fmt)
     assert not path.exists()
 
@@ -452,6 +452,18 @@ def test_wafer_map_rejects_out_of_grid_dies():
     ds.cap.append(CapRecord(row=5, col=0, area_um2=25.0, c_ff=1.0))
     with pytest.raises(DatasetSchemaError, match="outside the declared"):
         cap_wafer_map(ds, 25.0)
+
+
+@pytest.mark.parametrize("row, col, name", [(-1, 0, "row -1"), (0, -2, "col -2"),
+                                             (-1, -2, "row -1")])
+def test_wafer_map_rejects_negative_die_indices(row, col, name):
+    # numpy would write the cell from the far edge of the grid
+    ds = sample_dataset()
+    ds.cap.append(CapRecord(row=row, col=col, area_um2=25.0, c_ff=1.0))
+    with pytest.raises(DatasetSchemaError) as refused:
+        cap_wafer_map(ds, 25.0)
+    assert str(refused.value) == f"die indices must be >= 0 and < 4096, got {name}"
+    assert cap_wafer_map(ds, 100.0).n_probed == 1  # a cell of another area is not read
 
 
 def test_wafer_map_infers_shape_when_undeclared():

@@ -255,11 +255,13 @@ def test_overflowing_cap_spread_skips_the_area_without_a_warning():
 
 
 def _json_file(ds):
-    """ds in the JSON format as it stands: the JSON writer writes any record,
-    but refuses the wafer and meta entries that loads_json refuses."""
-    payload = json.loads(dumps_json(replace(ds, wafer={}, meta={})))
+    """ds in the JSON format as it stands, which the JSON writer refuses to
+    write for a near miss."""
+    payload = json.loads(dumps_json(DatasetFile()))
     payload.update(wafer=ds.wafer, meta=ds.meta)
-    return json.dumps(payload)
+    for kind in ("cap", "iv", "res", "ramp"):
+        payload[kind] = [vars(rec) for rec in getattr(ds, kind)]
+    return json.dumps(payload, default=list)
 
 
 def test_cli_reports_each_file_as_if_it_ran_alone(tmp_path, capsys):

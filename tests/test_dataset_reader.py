@@ -2,7 +2,8 @@
 
 * the series rules run per block, yet a file with several faults raises what
   a record-by-record check raises: the first fault in file order, series
-  faults included, in both codecs
+  faults included, in both codecs, wherever the checker's flushes cut the
+  file into blocks
 * the text reader parses each voltage staircase once and shares its array
   with the series after it that repeat its v tokens; every record still
   gets currents of its own
@@ -12,6 +13,7 @@
 * transport.sweep_faults flags exactly the rows sweep_arrays refuses
 """
 
+import itertools
 import json
 import math
 import os
@@ -24,14 +26,23 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jjwafer import dataset
 from jjwafer.breakdown import check_ramp_steps, ramp_faults
-from jjwafer.dataset import dumps_json, dumps_text, load_dataset, loads_json, loads_text
+from jjwafer.dataset import (
+    DatasetFile,
+    dumps_json,
+    dumps_text,
+    load_dataset,
+    loads_json,
+    loads_text,
+)
 from jjwafer.errors import DatasetError, DatasetFormatError, DatasetSchemaError
 from jjwafer.synthetic import WaferSpec, generate_wafer
 from jjwafer.transport import sweep_arrays, sweep_faults
+from test_dataset import ramp_records
 
 
 class PerRecordChecker(dataset._Checker):
-    """The reference: the series rules applied to each record as it arrives."""
+    """The reference: the series rules applied to each record as it arrives,
+    so it never holds a queue to flush, whatever the cadence."""
 
     def record(self, kind, rec, where):
         super().record(kind, rec, where)
@@ -43,6 +54,9 @@ class PerRecordChecker(dataset._Checker):
                     check_ramp_steps(v, rec.step_v)
             except ValueError as exc:
                 raise dataset._fault(DatasetSchemaError, str(exc), where) from None
+
+    def flush(self):
+        pass
 
 
 def _outcome(loads, text):
@@ -167,10 +181,16 @@ def _multi_fault_text(seed, rng):
     return "\n".join(lines) + "\n"
 
 
+# flushes after every series, every other one and every third one cut the
+# files at every boundary; each file holds fewer series than the default
+CADENCES = [dataset._FLUSH_SERIES, 1, 2, 3]
+
+
 @pytest.mark.parametrize("codec", ["text", "json"])
 def test_multi_fault_files_raise_what_a_per_record_check_raises(codec, monkeypatch):
     outcomes = set()
-    for seed in range(150):
+    for seed, cadence in itertools.product(range(150), CADENCES):
+        monkeypatch.setattr(dataset, "_FLUSH_SERIES", cadence)
         rng = random.Random(seed)
         base = BASES[seed % len(BASES)]
         if codec == "text":
@@ -180,12 +200,26 @@ def test_multi_fault_files_raise_what_a_per_record_check_raises(codec, monkeypat
             for _ in range(rng.randint(1, 3)):
                 _json_fault(payload, rng)
             got, want = _both(loads_json, json.dumps(payload), monkeypatch)
-        assert got == want, seed
+        assert got == want, (seed, cadence)
         outcomes.add(got[1].split(": ")[-1][:24])
     # the files reach series, scalar and format faults alike
     assert {"v must be strictly incre", "v and i must be finite",
             "ramp voltages must advan"} <= outcomes
     assert len(outcomes) > 10
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(ramp_records(), min_size=1, max_size=8), st.sampled_from(CADENCES))
+def test_ramps_raise_what_a_per_record_check_raises(records, cadence):
+    ds = DatasetFile(ramp=records)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_FLUSH_SERIES", cadence)
+        # the formatters behind the writers' gate write any record
+        for loads, lines in ((loads_text, dataset._text_lines),
+                             (loads_json, dataset._json_lines)):
+            got, want = _both(loads, "".join(lines(ds)), patch)
+            assert got == want
 
 
 def _edge_texts():

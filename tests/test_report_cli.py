@@ -346,6 +346,20 @@ def test_cli_simulate_refuses_out_of_range_seeds(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("override, message", [
+    ("cap_areas_um2=0,25,50", "cap record 0: area_um2 must be positive, got 0.0"),
+    ("ramp_rate_v_per_s=0", "ramp record 0: rate_v_per_s must be positive, got 0.0"),
+])
+def test_cli_simulate_refuses_a_dataset_the_readers_refuse(tmp_path, capsys, fmt,
+                                                            override, message):
+    out = tmp_path / "w.dat"
+    argv = ("simulate", "--out", str(out), "--format", fmt, "--set", override)
+    assert run_cli(*argv) == EXIT_INVALID
+    assert capsys.readouterr().err == f"jjwafer: error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_simulate_overrides(tmp_path, capsys):
     out = str(tmp_path / "thin.json")
     code = run_cli("simulate", "--out", out, "--set", "t_ox_nm=3.5",
