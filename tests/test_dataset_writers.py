@@ -102,7 +102,6 @@ def gated(write):
     def gated_write(ds):
         dataset._check_dataset(ds)
         return write(ds)
-    gated_write.__name__ = write.__name__
     return gated_write
 
 
