@@ -10,9 +10,9 @@ Subcommands:
         full pipeline plus per-area capacitance grid exports
 
 Exit codes: 0 success, 1 invalid input (bad flags, malformed dataset,
-bad config), 2 one or more analysis stages failed (the report is still
-produced), 3 filesystem trouble.  With several input files the worst
-code wins; files are processed one after another, in input order.
+bad config, inputs whose outputs share a name), 2 an analysis stage failed
+(the report is still produced), 3 filesystem trouble.  With several input
+files the worst code wins; files are processed one after another, in order.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--slope-tol", type=float, dest="slope_tol",
                        help="ohmic-window slope tolerance")
     group.add_argument("--fn-r2-min", type=float, dest="fn_r2_min",
-                       help="minimum r2 for the field-emission window")
+                       help="minimum r2 for the field-emission window (moves "
+                            "only that window, which no report field reads yet)")
     group.add_argument("--jump-factor", type=float, dest="jump_factor",
                        help="breakdown jump factor")
     group.add_argument("--jump-floor", type=float, dest="jump_floor_a",
@@ -176,9 +177,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _stem(path: str) -> str:
+    """The file name without its last extension; every output is named after it."""
     base = os.path.basename(path)
     stem = base.rsplit(".", 1)[0] if "." in base else base
     return stem or base
+
+
+def _report_name(path: str, fmt: str) -> str:
+    return f"{_stem(path)}.report.{'json' if fmt == 'json' else 'txt'}"
 
 
 def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
@@ -199,10 +205,8 @@ def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
         print(f"== {path} ==")
     sys.stdout.write(rendered)
     if out_dir is not None:
-        ext = "json" if fmt == "json" else "txt"
-        target = os.path.join(out_dir, f"{_stem(path)}.report.{ext}")
         try:
-            atomic_write_text(target, [rendered])
+            atomic_write_text(os.path.join(out_dir, _report_name(path, fmt)), [rendered])
             if with_grids:
                 for area in cap_areas(ds):
                     grid_path = os.path.join(
@@ -224,6 +228,14 @@ def _cmd_analyze(args, stages, with_grids: bool) -> int:
         print(f"jjwafer: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.out is not None:
+        # two inputs with one stem would overwrite each other's outputs
+        owners = {}
+        for j, path in enumerate(args.paths):
+            name = _report_name(path, args.format)
+            if owners.setdefault(name, j) != j:
+                print(f"jjwafer: error: {args.paths[owners[name]]} and {path} would "
+                      f"both write {name} under {args.out}", file=sys.stderr)
+                return EXIT_INVALID
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

@@ -117,13 +117,9 @@ def _local_loglog_slopes(v: np.ndarray, i: np.ndarray) -> np.ndarray:
     s[-1] = (y[-1] - y[-2]) / (x[-1] - x[-2])
     # 5-point moving mean; at the ends the window slides inward instead of
     # shrinking, so edge estimates average as many samples as interior ones
-    half = _SMOOTH // 2
-    out = np.empty(n)
-    for j in range(n):
-        lo = min(max(0, j - half), max(0, n - _SMOOTH))
-        hi = min(n, lo + _SMOOTH)
-        out[j] = s[lo:hi].mean()
-    return out
+    w = min(_SMOOTH, n)
+    lo = np.clip(np.arange(n) - _SMOOTH // 2, 0, n - w)
+    return np.lib.stride_tricks.sliding_window_view(s, w)[lo].mean(axis=1)
 
 
 def _first_jump(v: np.ndarray, i: np.ndarray) -> int | None:
@@ -158,22 +154,27 @@ def _first_jump(v: np.ndarray, i: np.ndarray) -> int | None:
     return None
 
 
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop (exclusive) of each run of True values, in order."""
+    edges = np.diff(mask.astype(np.int8), prepend=np.int8(0), append=np.int8(0))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
 def _bridge_gaps(ok: np.ndarray) -> np.ndarray:
     """Fill runs of up to _BRIDGE_MAX False values flanked by True on both sides."""
+    start, stop = _runs(~ok)
+    inner = (start > 0) & (stop < ok.size) & (stop - start <= _BRIDGE_MAX)
     out = ok.copy()
-    n = out.size
-    j = 0
-    while j < n:
-        if not out[j]:
-            end = j
-            while end + 1 < n and not out[end + 1]:
-                end += 1
-            if 0 < j and end + 1 < n and end - j + 1 <= _BRIDGE_MAX:
-                out[j : end + 1] = True
-            j = end + 1
-        else:
-            j += 1
+    out[~ok] = np.repeat(inner, stop - start)
     return out
+
+
+def _ohmic_run(ok: np.ndarray) -> slice | None:
+    """The first True run, if it has >= _MIN_RUN points and starts by _START_MARGIN."""
+    start, stop = _runs(ok)
+    if start.size and start[0] <= _START_MARGIN and stop[0] - start[0] >= _MIN_RUN:
+        return slice(int(start[0]), int(stop[0]))
+    return None
 
 
 def _line(x: np.ndarray, y: np.ndarray) -> Line:
@@ -214,20 +215,8 @@ def segment_regimes(iv, slope_tol: float = 0.1, fn_r2_min: float = 0.995,
     dt_slice = None
     fn_slice = None
     if n_pre >= _MIN_RUN:
-        slopes = _local_loglog_slopes(v[:n_pre], i[:n_pre])
-        ok = np.abs(slopes - 1.0) <= slope_tol
-        ok = _bridge_gaps(ok)
-        # first run of >= _MIN_RUN qualifying points starting near the low end
-        j = 0
-        while j < n_pre:
-            if ok[j]:
-                end = j
-                while end + 1 < n_pre and ok[end + 1]:
-                    end += 1
-                if j <= _START_MARGIN and end - j + 1 >= _MIN_RUN:
-                    dt_slice = slice(j, end + 1)
-                break
-            j += 1
+        ok = np.abs(_local_loglog_slopes(v[:n_pre], i[:n_pre]) - 1.0) <= slope_tol
+        dt_slice = _ohmic_run(_bridge_gaps(ok))
 
         fn_min = dt_slice.stop if dt_slice is not None else 0
         x_all = 1.0 / v[:n_pre]

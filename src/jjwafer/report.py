@@ -530,13 +530,8 @@ def export_wafer_grid(wmap: WaferMap, path: str) -> None:
     Unprobed and dead cells are empty fields, so the file keeps the full grid
     shape.  Writes are atomic.
     """
-    rows = []
-    for r in range(wmap.shape[0]):
-        cells = []
-        for c in range(wmap.shape[1]):
-            x = wmap.values[r, c]
-            cells.append(format_grid_cell(float(x)) if np.isfinite(x) else "")
-        rows.append(",".join(cells))
+    rows = [",".join(format_grid_cell(x) if math.isfinite(x) else "" for x in row)
+            for row in wmap.values.tolist()]
     atomic_write_text(path, ["\n".join(rows) + "\n"])
     meta = [
         f"label={wmap.label}",

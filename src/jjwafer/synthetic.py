@@ -323,7 +323,7 @@ class SyntheticDataset:
 
 
 def _nan_to_none(grid: np.ndarray) -> list:
-    return [[None if not np.isfinite(x) else float(x) for x in row] for row in grid]
+    return [[x if math.isfinite(x) else None for x in row] for row in grid.tolist()]
 
 
 def _relative_noise(rng: np.random.Generator, pct: float, size) -> np.ndarray:
@@ -478,9 +478,9 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
         "t_ox_map_nm": _nan_to_none(t_map),
         "intrinsic_field_map_mv_cm": _nan_to_none(e_int_map),
         "v_bt_map_v": _nan_to_none(v_bt_map),
-        "defect_count_map": [[int(x) for x in row] for row in defect_count_map],
-        "probed_map": [[bool(x) for x in row] for row in probed],
-        "dead_map": [[bool(x) for x in row] for row in dead],
+        "defect_count_map": defect_count_map.tolist(),
+        "probed_map": probed.tolist(),
+        "dead_map": dead.tolist(),
     }
 
     wafer = {

@@ -6,9 +6,13 @@ directly; none of them are guessed.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from jjwafer import iv_analysis
 from jjwafer.constants import CONST
+from jjwafer.dataset import iv_curves
 from jjwafer.errors import (
+    AnalysisError,
     DegenerateDataError,
     InsufficientDataError,
     NoDTWindowError,
@@ -16,6 +20,10 @@ from jjwafer.errors import (
     NoRootError,
 )
 from jjwafer.iv_analysis import (
+    _BRIDGE_MAX,
+    _MIN_RUN,
+    _SMOOTH,
+    _START_MARGIN,
     Regime,
     barrier_height_from_fn_slope,
     fit_fn_slope,
@@ -23,6 +31,7 @@ from jjwafer.iv_analysis import (
     fit_msclc_exponent,
     segment_regimes,
 )
+from jjwafer.synthetic import PRESET_NAMES, generate_wafer, preset_spec
 from jjwafer.transport import (
     IVCurve,
     OxideModel,
@@ -272,3 +281,153 @@ def test_fn_barrier_height_validation():
         barrier_height_from_fn_slope(0.5, 4.4)
     with pytest.raises(ValueError):
         barrier_height_from_fn_slope(-100.0, 0.0)
+
+
+# --- array passes against the per-point loops they replaced ---
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def loop_loglog_slopes(v, i):
+    """Reference: the clamped 5-point moving mean, one window per point."""
+    x = np.log(v)
+    y = np.log(i)
+    n = x.size
+    s = np.empty(n)
+    s[1:-1] = (y[2:] - y[:-2]) / (x[2:] - x[:-2])
+    s[0] = (y[1] - y[0]) / (x[1] - x[0])
+    s[-1] = (y[-1] - y[-2]) / (x[-1] - x[-2])
+    half = _SMOOTH // 2
+    out = np.empty(n)
+    for j in range(n):
+        lo = min(max(0, j - half), max(0, n - _SMOOTH))
+        hi = min(n, lo + _SMOOTH)
+        out[j] = s[lo:hi].mean()
+    return out
+
+
+def loop_bridge_gaps(ok):
+    """Reference: fill inner gaps of up to _BRIDGE_MAX points, scanning."""
+    out = ok.copy()
+    n = out.size
+    j = 0
+    while j < n:
+        if not out[j]:
+            end = j
+            while end + 1 < n and not out[end + 1]:
+                end += 1
+            if 0 < j and end + 1 < n and end - j + 1 <= _BRIDGE_MAX:
+                out[j : end + 1] = True
+            j = end + 1
+        else:
+            j += 1
+    return out
+
+
+def loop_ohmic_run(ok):
+    """Reference: the first True run, kept if long enough and early enough."""
+    n = ok.size
+    j = 0
+    while j < n:
+        if ok[j]:
+            end = j
+            while end + 1 < n and ok[end + 1]:
+                end += 1
+            if j <= _START_MARGIN and end - j + 1 >= _MIN_RUN:
+                return slice(j, end + 1)
+            return None
+        j += 1
+    return None
+
+
+@st.composite
+def sweeps(draw):
+    n = draw(st.integers(2, 69))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    v = 1e-3 * np.cumsum(steps)
+    i = np.array(draw(st.lists(st.floats(1e-15, 1e-3), min_size=n, max_size=n)))
+    return v, i
+
+
+@PROPERTY
+@given(sweeps())
+@example((np.geomspace(0.01, 1.0, 2), np.array([1e-9, 3e-9])))
+@example((np.geomspace(0.01, 1.0, 4), np.array([1e-9, 3e-9, 2e-9, 8e-9])))
+@example((np.geomspace(0.01, 1.0, 5), np.geomspace(1e-9, 1e-7, 5)))
+def test_sliding_mean_equals_the_window_loop(sweep):
+    v, i = sweep
+    assert iv_analysis._local_loglog_slopes(v, i).tobytes() == \
+        loop_loglog_slopes(v, i).tobytes()
+
+
+def _mask(bits):
+    return np.array([c == "1" for c in bits], dtype=bool)
+
+
+# the cases the run-length passes must get right, written as masks
+EDGE_MASKS = [
+    "", "1", "0", "101", "1001",                     # fewer than 5 points
+    "1" * 12, "0" * 12,                              # every point, no point in band
+    "011111", "001111", "0001111",                   # gaps touching the low end
+    "111100", "1111000", "1111010",                  # gaps touching the high end
+    "0" * _START_MARGIN + "1" * _MIN_RUN + "0",      # run starting at the margin
+    "0" * (_START_MARGIN + 1) + "1" * _MIN_RUN,      # one point past it
+    "1" * _MIN_RUN, "1" * _MIN_RUN + "0",            # exactly _MIN_RUN points
+    "1" * (_MIN_RUN - 1) + "0" + "1" * _MIN_RUN,
+    "1" * (_MIN_RUN - 1), "0" + "1" * (_MIN_RUN - 1) + "0",
+    "1" + "0" * _BRIDGE_MAX + "1", "1" + "0" * (_BRIDGE_MAX + 1) + "1",
+    "11011001110001111",
+]
+
+
+def _mask_examples(test):
+    for bits in EDGE_MASKS:
+        test = example(_mask(bits))(test)
+    return test
+
+
+masks = st.lists(st.booleans(), max_size=40).map(lambda b: np.array(b, dtype=bool))
+
+
+@PROPERTY
+@given(masks)
+@_mask_examples
+def test_bridge_gaps_equals_the_scan(ok):
+    out = iv_analysis._bridge_gaps(ok)
+    assert out.dtype == bool
+    assert out.tolist() == loop_bridge_gaps(ok).tolist()
+
+
+@PROPERTY
+@given(masks)
+@_mask_examples
+def test_ohmic_run_equals_the_scan(ok):
+    assert iv_analysis._ohmic_run(ok) == loop_ohmic_run(ok)
+    assert iv_analysis._ohmic_run(iv_analysis._bridge_gaps(ok)) == \
+        loop_ohmic_run(loop_bridge_gaps(ok))
+
+
+def _segment(iv):
+    try:
+        seg = segment_regimes(iv, require_dt=False)
+    except AnalysisError as exc:
+        return type(exc), str(exc)
+    return (seg.v.tobytes(), seg.i.tobytes(), seg.kept_index.tolist(),
+            seg.labels.tolist(), seg.labels.dtype, seg.dt_slice, seg.fn_slice,
+            seg.breakdown_start, seg.n_dropped)
+
+
+def test_corpus_segmentation_equals_the_loops(monkeypatch):
+    curves = [cur for name in PRESET_NAMES for seed in range(10)
+              for cur in iv_curves(generate_wafer(preset_spec(name, seed=seed)).dataset)]
+    assert len(curves) == 200
+    fast = [_segment(cur) for cur in curves]
+    monkeypatch.setattr(iv_analysis, "_local_loglog_slopes", loop_loglog_slopes)
+    monkeypatch.setattr(iv_analysis, "_bridge_gaps", loop_bridge_gaps)
+    monkeypatch.setattr(iv_analysis, "_ohmic_run", loop_ohmic_run)
+    slow = [_segment(cur) for cur in curves]
+    # every sweep segments, and both windows occur
+    assert {len(f) for f in fast} == {9}
+    assert any(f[5] is not None for f in fast) and any(f[6] is not None for f in fast)
+    for cur, f, s in zip(curves, fast, slow):
+        assert f == s, cur.die

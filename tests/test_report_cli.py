@@ -409,6 +409,28 @@ def test_cli_report_writes_reports_and_grids(tmp_path, capsys):
     assert grid.values[7, 7] == pytest.approx(500.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("command", [("report",), ("analyze", "all")])
+def test_cli_refuses_inputs_whose_outputs_share_a_name(tmp_path, capsys, command):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    first, second = str(a / "w.jjw"), str(b / "w.json")
+    run_cli("simulate", "--out", first)
+    run_cli("simulate", "--out", second, "--seed", "1")
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    for paths in ((first, second), (first, first)):
+        assert run_cli(*command, "--out", str(out_dir), *paths) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"jjwafer: error: {paths[0]} and {paths[1]} would "
+                                f"both write w.report.txt under {out_dir}\n")
+        assert not out_dir.exists()
+    # without --out nothing is written, so the same inputs are fine
+    assert run_cli("analyze", "all", first, second) == EXIT_OK
+    assert capsys.readouterr().out.count("== ") == 2
+
+
 def test_cli_version_and_help(capsys):
     assert run_cli("--version") == EXIT_OK
     assert "jjwafer" in capsys.readouterr().out
