@@ -15,9 +15,10 @@ within rounding distance of the best are refit exactly.  The empirical
 probability at the transition feeds the Poisson defect-density estimate
 D = -ln(1 - P_k) / A.
 
-A wafer's ramps are analyzed as one (ramps, steps) block: ramp_faults applies
-RampTrace's rules to every row and first_jumps finds every row's breakdown
-step; detect_breakdown is the same rule on one trace.
+A wafer's ramps are analyzed as one (ramps, steps) block: ramp_faults, the
+one implementation of a ramp's series rules, gives every row a fault code
+(RampTrace raises on the code of its one row), and first_jumps finds every
+row's breakdown step; detect_breakdown is first_jumps on one trace.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     NoBreakdownError,
     NoKneeError,
 )
-from .transport import sweep_arrays, sweep_faults
+from .transport import series_message, sweep_arrays, sweep_faults
 
 __all__ = [
     "RampTrace",
@@ -47,7 +48,6 @@ __all__ = [
     "fit_weibull_shape",
     "find_transition",
     "critical_defect_density",
-    "check_ramp_steps",
     "ramp_faults",
     "jump_steps",
     "DEFAULT_RAMP_STEP_V",
@@ -71,40 +71,25 @@ _EPS = float(np.finfo(float).eps)
 _SAFE_MIN, _SAFE_MAX = 2.0**-400, 2.0**400  # squares stay normal floats
 
 
-def check_ramp_steps(v: np.ndarray, step_v: float) -> None:
-    """The one ramp-step rule, shared by RampTrace and the dataset readers:
-    every step of the increasing voltages v lies within 1% of their mean,
-    and the mean within 1% of the declared step_v (else ValueError)."""
-    steps = np.diff(v)
-    mean = steps.mean()
-    if (np.max(np.abs(steps - mean)) > _STEP_TOL * mean
-            or abs(mean - step_v) > _STEP_TOL * step_v):
-        raise ValueError("ramp voltages must advance in constant steps of step_v "
-                         "(within 1%)")
-
-
-def ramp_faults(v: np.ndarray, i: np.ndarray, step_v: np.ndarray) -> np.ndarray:
-    """Rows of a ramp block that RampTrace refuses.
-
-    v, i are (ramps, steps) float arrays, v possibly one row that every
-    ramp shares, and step_v holds one declared step per row.  A row is at
-    fault when transport.sweep_faults flags it or check_ramp_steps would
-    refuse it.  The arithmetic is the scalar rules' own, row by row, so the
-    verdicts agree exactly.
-    """
-    faulty = sweep_faults(v, i)
+def ramp_faults(v: np.ndarray, i: np.ndarray, step_v) -> np.ndarray:
+    """Per row of a (ramps, steps) block of v and i, 0 if it keeps a ramp's
+    series rules, else the fault code of the first it breaks: those of
+    transport.sweep_faults, then code 6, every step within 1% of the row's
+    mean step and that within 1% of the row's declared step in step_v.  v
+    may be one row that every ramp shares."""
+    codes = sweep_faults(v, i)
     if v.shape[1] < 2:
-        return faulty
-    # a row already at fault may overflow or turn to nan in the step rule;
-    # RampTrace reports it, with its own warnings
+        return codes
+    # a row already at fault may overflow or turn to nan in the step rule
     with np.errstate(over="ignore", invalid="ignore"):
         steps = np.diff(v, axis=1)
         mean = steps.mean(axis=1)
         np.subtract(steps, mean[:, np.newaxis], out=steps)
         np.abs(steps, out=steps)
-        faulty |= steps.max(axis=1) > _STEP_TOL * mean
-        faulty |= np.abs(mean - step_v) > _STEP_TOL * step_v
-    return faulty
+        uneven = ((steps.max(axis=1) > _STEP_TOL * mean)
+                  | (np.abs(mean - step_v) > _STEP_TOL * step_v))
+    codes[(codes == 0) & uneven] = 6
+    return codes
 
 
 @dataclass(frozen=True)
@@ -112,7 +97,7 @@ class RampTrace:
     """A staircase voltage ramp on one junction.
 
     v : step voltages [V], strictly increasing in constant steps of step_v
-        (see check_ramp_steps)
+        (see ramp_faults)
     i : measured currents [A], finite
     """
 
@@ -127,7 +112,8 @@ class RampTrace:
         v, i = sweep_arrays(self.v, self.i)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "i", i)
-        check_ramp_steps(v, self.step_v)
+        if code := ramp_faults(v[np.newaxis], i[np.newaxis], self.step_v)[0]:
+            raise ValueError(series_message(code, v.size))
         if not (self.area_um2 > 0.0):
             raise ValueError(f"area_um2 must be positive, got {self.area_um2}")
 

@@ -36,26 +36,25 @@ run too.  Its rules, the same for both formats:
 
 * die indices are ints in [0, MAX_GRID) (a JSON bool is not an int)
 * every other number is finite, and > 0 except a capacitance reading
-* v and i have equal length >= 2, and v strictly increases in finite steps
-  (transport.sweep_arrays, which IVCurve and RampTrace apply too)
-* ramp voltages advance in constant steps of step_v
-  (breakdown.check_ramp_steps, which RampTrace applies too)
+* v and i have equal length >= 2, v strictly increases in finite steps, and
+  ramp voltages advance in constant steps of step_v (transport.SERIES_RULES)
 * no two cap records share a die and an area
 * wafer rows/cols, when present, are integers in [1, MAX_GRID], and every
   die lies inside them
 * wafer and meta entries survive the text format (_check_attrs)
 
 The checker applies the scalar, duplicate-cell and extent rules as records
-arrive, and the two series rules above per block: it queues the sweeps and
-ramps, flushes the queue once it holds _FLUSH_SERIES (256) of them, and
-checks each flush stacked by kind and length (transport.sweep_faults,
-breakdown.ramp_faults) in _judged, the one judging pass that ramp_blocks
-makes for analyze() too; a block of records that share one staircase stacks
-it as one row.  So no reader or writer holds more than one flush's blocks.
+arrive, and the series rules per block: it queues the sweeps and ramps,
+flushes the queue once it holds _FLUSH_SERIES (256) of them, and judges each
+flush stacked by kind and length in _judged, the one judging pass that
+ramp_blocks makes for analyze() too; a block of records that share one
+staircase stacks it as one row.  So no reader or writer holds more than one
+flush's blocks.  The block rules (transport.sweep_faults,
+breakdown.ramp_faults) are the series rules' one implementation, and give
+each series the code of the first rule it breaks, which words its error.
 Errors are still raised in file order: the checker flushes the queue before
-any later error propagates, and the first faulty series re-runs its scalar
-rule for the message.  Errors carry the 1-based line number (text) or name
-the record, e.g. "ramp record 3" (JSON).  A byte that is not UTF-8 is a
+any later error propagates.  Errors carry the 1-based line number (text) or
+name the record, e.g. "ramp record 3" (JSON).  A byte that is not UTF-8 is a
 DatasetFormatError on its line.  load_dataset reads a text file a line at a
 time and never holds its text; its lines break where str.splitlines()
 breaks the text that text mode reads, so it reads a file as loads_text
@@ -103,7 +102,7 @@ from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .breakdown import RampTrace, check_ramp_steps, ramp_faults
+from .breakdown import RampTrace, ramp_faults
 from .capacitance import WaferMap
 from .errors import (
     DatasetError,
@@ -113,7 +112,7 @@ from .errors import (
 )
 from .geometry import JunctionGeometry
 from .resistance import ResistanceRecord
-from .transport import IVCurve, sweep_arrays, sweep_faults
+from .transport import IVCurve, series_message, sweep_faults
 
 __all__ = [
     "FORMAT_NAME",
@@ -299,16 +298,6 @@ def _index_fault(name: str, index: int, where) -> DatasetError:
                   f"got {name} {index}", where)
 
 
-def _check_series(kind: str, rec, where) -> None:
-    """The series rules on one sweep or ramp, raising the first one's error."""
-    try:
-        v, _ = sweep_arrays(rec.v, rec.i)
-        if kind == "ramp":
-            check_ramp_steps(v, rec.step_v)
-    except ValueError as exc:
-        raise _fault(DatasetSchemaError, str(exc), where) from None
-
-
 _FLUSH_SERIES = 256  # series _Checker queues before it flushes them
 
 
@@ -372,17 +361,19 @@ class _Checker:
 
     def flush(self) -> None:
         """Apply the series rules to the queued records, a block per kind and
-        length; the first faulty one in file order raises its own error."""
+        length; the first faulty one in file order raises its rule's error."""
         queue, self.series = self.series, []
-        faulty = np.zeros(len(queue), dtype=bool)
+        codes = np.zeros(len(queue), dtype=int)
         for kind in ("iv", "ramp"):
             at = np.flatnonzero([entry[0] == kind for entry in queue])
-            bad = np.zeros(at.size, dtype=bool)
-            for _ in _judged(kind, [queue[k][1] for k in at], bad):
+            found = np.zeros(at.size, dtype=int)
+            for _ in _judged(kind, [queue[k][1] for k in at], found):
                 pass  # one block at a time, so no two are held at once
-            faulty[at] = bad
-        for entry in compress(queue, faulty):
-            _check_series(*entry)
+            codes[at] = found
+        if faulty := np.flatnonzero(codes).tolist():
+            _, rec, where = queue[faulty[0]]
+            raise _fault(DatasetSchemaError,
+                         series_message(codes[faulty[0]], len(rec.v)), where)
 
     def finish(self) -> None:
         self.flush()
@@ -394,19 +385,19 @@ _STEP_V = operator.attrgetter("step_v")
 _ROW, _COL = operator.attrgetter("row"), operator.attrgetter("col")
 
 
-def _stack(records: list, faulty: np.ndarray):
+def _stack(records: list, codes: np.ndarray):
     """The series of the records stacked by length, ascending: yields (rows,
     v, i), rows the positions in records of the rows of the (rows, length)
     float block i, copied from the series' buffers.  v is a block like i, or
     one (1, length) row when every record of the length shares one v array,
     which the series rules and the callers broadcast.  Records whose v and i
-    differ in length are marked in faulty first; no marked record is
-    stacked."""
+    differ in length get fault code 1 in codes first; only records whose
+    code is 0 are stacked."""
     n = len(records)
     sizes = np.fromiter(map(len, map(_V, records)), int, n)
-    faulty |= sizes != np.fromiter(map(len, map(_I, records)), int, n)
-    for size in sorted(set(sizes[~faulty].tolist())):
-        take = (sizes == size) & ~faulty
+    codes[sizes != np.fromiter(map(len, map(_I, records)), int, n)] = 1
+    for size in sorted(set(sizes[codes == 0].tolist())):
+        take = (sizes == size) & (codes == 0)
         rows = np.flatnonzero(take)
         group = list(compress(records, take))
         vs = list(map(_V, group))
@@ -415,14 +406,14 @@ def _stack(records: list, faulty: np.ndarray):
         yield rows, v, np.array(list(map(_I, group))).reshape(rows.size, size)
 
 
-def _judged(kind: str, records: list, faulty: np.ndarray):
-    """_stack's blocks of records, each yielded once its rows that break the
-    series rules of kind (sweep_faults, or ramp_faults against each ramp's
-    step_v, taken unconverted) are marked in faulty."""
+def _judged(kind: str, records: list, codes: np.ndarray):
+    """_stack's blocks of records, each yielded once the fault code of each
+    of its rows under the series rules of kind (sweep_faults, or ramp_faults
+    against each ramp's step_v, taken unconverted) is in codes."""
     step_v = np.array(list(map(_STEP_V, records))) if kind == "ramp" else None
-    for rows, v, i in _stack(records, faulty):
-        faulty[rows] = (sweep_faults(v, i) if kind == "iv"
-                        else ramp_faults(v, i, step_v[rows]))
+    for rows, v, i in _stack(records, codes):
+        codes[rows] = (sweep_faults(v, i) if kind == "iv"
+                       else ramp_faults(v, i, step_v[rows]))
         yield rows, v, i
 
 
@@ -951,14 +942,10 @@ def iv_curves(ds: DatasetFile) -> list[IVCurve]:
     ]
 
 
-def _ramp_trace(rec: RampRecord) -> RampTrace:
-    return RampTrace(v=np.array(rec.v), i=np.array(rec.i), area_um2=rec.area_um2,
-                     die=(rec.row, rec.col), step_v=rec.step_v,
-                     rate_v_per_s=rec.rate_v_per_s)
-
-
 def ramp_traces(ds: DatasetFile) -> list[RampTrace]:
-    return list(map(_ramp_trace, ds.ramp))
+    return [RampTrace(v=np.array(rec.v), i=np.array(rec.i), area_um2=rec.area_um2,
+                      die=(rec.row, rec.col), step_v=rec.step_v,
+                      rate_v_per_s=rec.rate_v_per_s) for rec in ds.ramp]
 
 
 def ramp_blocks(ds: DatasetFile) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -971,15 +958,18 @@ def ramp_blocks(ds: DatasetFile) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
     ramp_traces raises: RampTrace's error for the first one in file order.
     """
     records = ds.ramp
+    codes = np.zeros(len(records), dtype=int)
     try:
         areas = map(operator.attrgetter("area_um2"), records)
-        faulty = ~np.fromiter(map(operator.gt, areas, repeat(0.0)), bool, len(records))
-        blocks = list(_judged("ramp", records, faulty))
+        small = ~np.fromiter(map(operator.gt, areas, repeat(0.0)), bool, len(records))
+        blocks = list(_judged("ramp", records, codes))
     except (TypeError, ValueError, OverflowError):
         ramp_traces(ds)  # entries that do not stack: RampTrace names the first
         raise
-    for rec in compress(records, faulty):  # RampTrace names the first fault
-        _ramp_trace(rec)
+    if faulty := np.flatnonzero(codes | small).tolist():
+        rec, code = records[faulty[0]], codes[faulty[0]]
+        raise ValueError(series_message(code, len(rec.v)) if code else
+                         f"area_um2 must be positive, got {rec.area_um2}")
     return blocks
 
 

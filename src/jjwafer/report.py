@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -108,6 +109,11 @@ class AnalysisConfig:
     t_ox_nm: float | None = None  # overrides the capacitance-derived thickness
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            x = getattr(self, f.name)
+            if not (x is None and f.name == "t_ox_nm" or isinstance(x, numbers.Real)
+                    and not isinstance(x, bool) and math.isfinite(x)):
+                raise ValueError(f"{f.name} must be a finite number, got {x!r}")
         if not (self.eps_r > 0.0):
             raise ValueError(f"eps_r must be positive, got {self.eps_r}")
         if not (self.beta > 0.0) or not (self.m_rel > 0.0):
@@ -575,6 +581,9 @@ def load_wafer_grid(path: str) -> WaferMap:
         shape = (int(meta["rows"]), int(meta["cols"]))
     except ValueError:
         raise DatasetSchemaError("grid sidecar has non-numeric shape or area") from None
+    if not (area > 0.0) or min(shape) < 0:
+        raise DatasetSchemaError("grid sidecar needs a positive area and rows, cols "
+                                 f">= 0, got {area!r} and {shape}")
 
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()

@@ -303,9 +303,9 @@ def preset_spec(name: str, seed: int = 0, **overrides) -> WaferSpec:
 @dataclass
 class SyntheticDataset:
     """Result of generate_wafer: the spec it ran, the ground truth it drew,
-    and the dataset records it wrote, which the dataset module's
-    materializers (iv_curves, ramp_traces, ramp_blocks, resistance_records)
-    turn into analysis objects as they do for a loaded file.
+    and the dataset records it wrote, which analyze() reads through the
+    dataset module's materializers (cap_wafer_map, iv_curves, ramp_blocks,
+    resistance_records) as it reads a loaded file.
 
     maps, one WaferMap per probed area in spec order, is built by
     cap_wafer_map on first access and kept; the benchmark's grid checks

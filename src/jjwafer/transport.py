@@ -48,6 +48,8 @@ from .errors import UnderflowWarning
 __all__ = [
     "OxideModel",
     "IVCurve",
+    "SERIES_RULES",
+    "series_message",
     "sweep_arrays",
     "sweep_faults",
     "direct_tunneling_current",
@@ -152,37 +154,47 @@ class IVCurve:
         return self.v.size
 
 
+# The series rules in the order they apply: a series is named by the first
+# it breaks.  Sweeps keep the first five (sweep_faults), ramps all six.
+SERIES_RULES = (
+    "v and i must be 1-D arrays of equal length",
+    "a sweep needs at least 2 points, got {n}",
+    "v and i must be finite",
+    "v must be strictly increasing",
+    "v must advance in finite steps",
+    "ramp voltages must advance in constant steps of step_v (within 1%)",
+)
+
+
+def series_message(code: int, n: int) -> str:
+    """The error of fault code (1 + a SERIES_RULES index) on n points."""
+    return SERIES_RULES[code - 1].format(n=n)
+
+
 def sweep_arrays(v, i) -> tuple[np.ndarray, np.ndarray]:
-    """v and i as float arrays, checked as every sweep and ramp must be:
-    1-D, equal length >= 2, finite, v strictly increasing (else ValueError)."""
+    """v and i as float arrays, held to the series rules of a sweep (else
+    ValueError naming the first broken)."""
     v = np.asarray(v, dtype=float)
     i = np.asarray(i, dtype=float)
-    if v.ndim != 1 or v.shape != i.shape:
-        raise ValueError("v and i must be 1-D arrays of equal length")
-    if v.size < 2:
-        raise ValueError(f"a sweep needs at least 2 points, got {v.size}")
-    if not (np.isfinite(v).all() and np.isfinite(i).all()):
-        raise ValueError("v and i must be finite")
-    with np.errstate(over="ignore"):  # a step of finite voltages may overflow
-        steps = np.diff(v)
-    if not (steps > 0.0).all():
-        raise ValueError("v must be strictly increasing")
-    if not np.isfinite(steps).all():
-        raise ValueError("v must advance in finite steps")
+    code = (1 if v.ndim != 1 or v.shape != i.shape
+            else sweep_faults(v[np.newaxis], i[np.newaxis])[0])
+    if code:
+        raise ValueError(series_message(code, v.size))
     return v, i
 
 
 def sweep_faults(v: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """Rows of a (sweeps, points) block of v and i that sweep_arrays refuses:
-    fewer than 2 points, a non-finite value, v not strictly increasing, or a
-    step that overflows.  v may be one row that every row of i shares.  The
-    arithmetic is sweep_arrays' own, row by row, so the verdicts agree."""
+    """Per row of a (sweeps, points) block of v and i, 0 if the row keeps
+    the series rules, else 1 + the SERIES_RULES index of the first it breaks:
+    at least 2 points, finite values, v strictly increasing, in steps that do
+    not overflow.  v may be one row that every row of i shares."""
     if v.shape[1] < 2:
-        return np.ones(len(i), dtype=bool)
+        return np.full(len(i), 2)
     with np.errstate(over="ignore", invalid="ignore"):
         steps = np.diff(v, axis=1)
-        return ~(np.isfinite(v).all(axis=1) & np.isfinite(i).all(axis=1)
-                 & ((steps > 0.0) & np.isfinite(steps)).all(axis=1))
+        return np.where(np.isfinite(v).all(axis=1) & np.isfinite(i).all(axis=1),
+                        np.where((steps > 0.0).all(axis=1),
+                                 np.where(np.isfinite(steps).all(axis=1), 0, 5), 4), 3)
 
 
 def _as_float_array(v):

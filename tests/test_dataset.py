@@ -41,7 +41,8 @@ from jjwafer.errors import (
 )
 from jjwafer.report import analyze
 from jjwafer.synthetic import WaferSpec, generate_wafer, preset_spec
-from jjwafer.transport import IVCurve
+from jjwafer import dataset
+from jjwafer.transport import SERIES_RULES, IVCurve, series_message
 
 HEADER = ("format jjwafer-dataset 1\n"
           "units area=um2 c=fF r=MOhm len=um v=V i=A step=V rate=V/s\n")
@@ -566,3 +567,46 @@ def test_ramps_that_do_not_stack_raise_what_ramp_traces_raises(name, value):
             refuse(ds)
         assert (type(refused.value), str(refused.value)) == \
             (expected.type, str(expected.value))
+
+
+# one series per rule, each keeping every rule before it
+RULE_SERIES = [
+    ([0.01, 0.02, 0.03], [1e-12, 2e-12]),                 # unequal lengths
+    ([0.01], [1e-12]),                                    # one point
+    ([0.01, 0.02, 0.03], [1e-12, math.nan, 3e-12]),       # not finite
+    ([0.01, 0.03, 0.02], [1e-12, 2e-12, 3e-12]),          # falling
+    ([-1.7e308, 1.7e308], [1e-12, 2e-12]),                # an overflowing step
+    ([0.01, 0.02, 0.035], [1e-12, 2e-12, 3e-12]),         # uneven steps
+]
+ENTRY_POINTS = {
+    # the formatters behind the writers' gate write the faulty series
+    "loads_text": lambda ds: loads_text("".join(dataset._text_lines(ds))),
+    "loads_json": lambda ds: loads_json("".join(dataset._json_lines(ds))),
+    "dumps_text": dumps_text,
+    "dumps_json": dumps_json,
+    "iv_curves": iv_curves,
+    "ramp_traces": ramp_traces,
+    "ramp_blocks": ramp_blocks,
+    "analyze": analyze,
+}
+
+
+@pytest.mark.parametrize("kind, code", [("iv", code) for code in range(1, len(SERIES_RULES))]
+                         + [("ramp", code) for code in range(1, len(SERIES_RULES) + 1)])
+def test_every_entry_point_names_the_rule_a_series_breaks(kind, code):
+    v, i = RULE_SERIES[code - 1]
+    if kind == "iv":
+        ds = DatasetFile(iv=[IVRecord(row=0, col=0, area_um2=25.0, v=v, i=i)])
+    else:
+        ds = DatasetFile(ramp=[RampRecord(row=0, col=0, area_um2=25.0, step_v=0.01,
+                                          rate_v_per_s=0.07, v=v, i=i)])
+    names = {"iv": ["iv_curves"], "ramp": ["ramp_traces", "ramp_blocks"]}[kind]
+    names += ["loads_json", "dumps_text", "dumps_json", "analyze"]
+    if code != 1:  # a text series is a count of v:i pairs, never unequal
+        names.append("loads_text")
+    for name in names:
+        codec = name.startswith(("loads", "dumps"))
+        with pytest.raises(DatasetSchemaError if codec else ValueError) as refused:
+            ENTRY_POINTS[name](ds)
+        # the readers and writers prefix the line or the record
+        assert str(refused.value).rpartition(": ")[2] == series_message(code, len(v)), name

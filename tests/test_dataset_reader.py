@@ -10,7 +10,8 @@
 * load_dataset reads a text file a line at a time, yet gives what
   loads_text gives for the file's text: the same dataset, or the same error
   class, message and line
-* transport.sweep_faults flags exactly the rows sweep_arrays refuses
+* transport.sweep_faults and breakdown.ramp_faults name, row by row, the
+  fault that the scalar series rules, kept here as the oracle, name
 """
 
 import itertools
@@ -18,14 +19,13 @@ import json
 import math
 import os
 import random
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jjwafer import dataset
-from jjwafer.breakdown import check_ramp_steps, ramp_faults
+from jjwafer.breakdown import ramp_faults
 from jjwafer.dataset import (
     DatasetFile,
     dumps_json,
@@ -36,24 +36,50 @@ from jjwafer.dataset import (
 )
 from jjwafer.errors import DatasetError, DatasetFormatError, DatasetSchemaError
 from jjwafer.synthetic import WaferSpec, generate_wafer
-from jjwafer.transport import sweep_arrays, sweep_faults
+from jjwafer.transport import series_message, sweep_faults
 from test_dataset import ramp_records
 
 
+def scalar_message(v, i, step_v=None):
+    """The oracle: the series rules as the package applied them to one
+    series before the block rules became their only implementation
+    (transport.sweep_arrays, then breakdown.check_ramp_steps for a ramp's
+    step_v).  The message of the first rule broken, or None."""
+    v = np.asarray(v, dtype=float)
+    i = np.asarray(i, dtype=float)
+    if v.ndim != 1 or v.shape != i.shape:
+        return "v and i must be 1-D arrays of equal length"
+    if v.size < 2:
+        return f"a sweep needs at least 2 points, got {v.size}"
+    if not (np.isfinite(v).all() and np.isfinite(i).all()):
+        return "v and i must be finite"
+    with np.errstate(over="ignore"):  # a step of finite voltages may overflow
+        steps = np.diff(v)
+    if not (steps > 0.0).all():
+        return "v must be strictly increasing"
+    if not np.isfinite(steps).all():
+        return "v must advance in finite steps"
+    if step_v is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = steps.mean()
+        if (np.max(np.abs(steps - mean)) > 0.01 * mean
+                or abs(mean - step_v) > 0.01 * step_v):
+            return "ramp voltages must advance in constant steps of step_v (within 1%)"
+    return None
+
+
 class PerRecordChecker(dataset._Checker):
-    """The reference: the series rules applied to each record as it arrives,
-    so it never holds a queue to flush, whatever the cadence."""
+    """The reference: the oracle's series rules applied to each record as it
+    arrives, so it never holds a queue to flush, whatever the cadence."""
 
     def record(self, kind, rec, where):
         super().record(kind, rec, where)
         if self.series:
             self.series.pop()
-            try:
-                v, _ = sweep_arrays(rec.v, rec.i)
-                if kind == "ramp":
-                    check_ramp_steps(v, rec.step_v)
-            except ValueError as exc:
-                raise dataset._fault(DatasetSchemaError, str(exc), where) from None
+            message = scalar_message(rec.v, rec.i, rec.step_v if kind == "ramp" else None)
+            if message is not None:
+                raise dataset._fault(DatasetSchemaError, message, where)
 
     def flush(self):
         pass
@@ -392,22 +418,20 @@ def blocks(draw):
     return v, i
 
 
+def _messages(codes, points):
+    return [series_message(code, points) if code else None for code in codes.tolist()]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow])
-@given(blocks())
-def test_sweep_faults_flags_the_rows_sweep_arrays_refuses(block):
+@given(blocks(), st.sampled_from([0.01, 1.0, 2.5, -1.0]))
+def test_the_block_rules_name_the_fault_the_scalar_rules_name(block, step):
     v, i = block
-    refused = []
-    for v_row, i_row in zip(v, i):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, overflow
-                sweep_arrays(v_row, i_row)
-        except ValueError:
-            refused.append(True)
-        else:
-            refused.append(False)
-    assert sweep_faults(v, i).tolist() == refused
+    points = v.shape[1]
+    assert _messages(sweep_faults(v, i), points) == [
+        scalar_message(v_row, i_row) for v_row, i_row in zip(v, i)]
+    assert _messages(ramp_faults(v, i, np.full(len(i), step)), points) == [
+        scalar_message(v_row, i_row, step) for v_row, i_row in zip(v, i)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300,

@@ -49,6 +49,15 @@ def test_config_validation():
         AnalysisConfig(t_ox_nm=-4.4)
 
 
+def test_config_takes_finite_real_numbers_only():
+    assert AnalysisConfig(eps_r=9, beta=np.float64(1.0), t_ox_nm=None).eps_r == 9
+    for bad in ("x", None, True, math.inf, math.nan, 1j):
+        with pytest.raises(ValueError, match="eps_r must be a finite number"):
+            AnalysisConfig(eps_r=bad)
+    with pytest.raises(ValueError, match="t_ox_nm must be a finite number"):
+        AnalysisConfig(t_ox_nm=-math.inf)
+
+
 def test_config_from_mapping_rejects_unknown_keys():
     cfg = AnalysisConfig.from_mapping({"slope_tol": 0.2})
     assert cfg.slope_tol == 0.2
@@ -266,6 +275,17 @@ def test_load_wafer_grid_requires_sidecar(tmp_path):
         load_wafer_grid(path)
 
 
+@pytest.mark.parametrize("line", ["area_um2=-1.0", "area_um2=nan", "cols=-1"])
+def test_load_wafer_grid_refuses_a_bad_sidecar_value(tmp_path, line):
+    path = str(tmp_path / "grid.csv")
+    export_wafer_grid(WaferMap(values=np.ones((2, 3)), probed=np.ones((2, 3), bool),
+                               area_um2=25.0), path)
+    with open(path + ".meta", "a") as fh:
+        fh.write(line + "\n")  # a later line wins
+    with pytest.raises(DatasetSchemaError, match="grid sidecar needs a positive area"):
+        load_wafer_grid(path)
+
+
 # --- CLI ---
 
 
@@ -329,6 +349,26 @@ def test_cli_invalid_inputs(tmp_path, capsys):
     assert run_cli("nonsense") == EXIT_INVALID
     assert run_cli() == EXIT_INVALID
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ('{"eps_r": "x"}', [], "eps_r must be a finite number, got 'x'"),
+    ('{"eps_r": null}', [], "eps_r must be a finite number, got None"),
+    ('{"eps_r": true}', [], "eps_r must be a finite number, got True"),
+    ('{"eps_r": 1e400}', [], "eps_r must be a finite number, got inf"),
+    (None, ["--t-ox", "inf"], "t_ox_nm must be a finite number, got inf"),
+    (None, ["--eps-r", "inf"], "eps_r must be a finite number, got inf"),
+    (None, ["--jump-floor", "nan"], "jump_floor_a must be a finite number, got nan"),
+])
+def test_cli_refuses_a_config_value_that_is_not_a_finite_number(tmp_path, capsys, config,
+                                                                 flags, message):
+    out = str(tmp_path / "w.jjw")
+    save_dataset(generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset, out)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        flags = ["--config", str(tmp_path / "cfg.json"), *flags]
+    assert run_cli("analyze", "all", out, *flags) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"jjwafer: error: {message}\n")
 
 
 def test_cli_simulate_refuses_out_of_range_seeds(tmp_path, capsys):
