@@ -15,7 +15,7 @@ from jjwafer import (
     oxide_thickness_from_ca,
     wafer_statistics,
 )
-from jjwafer.dataset import cap_areas, cap_wafer_map
+from jjwafer.dataset import cap_maps
 
 spec = WaferSpec(label="cap-demo", seed=12, cap_noise_pct=2.3,
                  thickness_jitter_pct=1.0, dead_die_rate=0.02)
@@ -23,8 +23,8 @@ ds = generate_wafer(spec).dataset
 
 points = []
 print(f"{'area [um2]':>11} {'mean [fF]':>10} {'RSD [%]':>8} {'yield [%]':>9}")
-for a in cap_areas(ds):
-    stats = wafer_statistics(cap_wafer_map(ds, a))
+for a, wmap in cap_maps(ds).items():
+    stats = wafer_statistics(wmap)
     points.append((a, stats.mean))
     print(f"{a:11.0f} {stats.mean:10.2f} {stats.rsd_pct:8.2f} {stats.yield_pct:9.1f}")
 

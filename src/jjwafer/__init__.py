@@ -37,6 +37,7 @@ from .constants import (
 from .dataset import (
     DatasetFile,
     cap_areas,
+    cap_maps,
     cap_wafer_map,
     ground_truth,
     iv_curves,
@@ -150,7 +151,7 @@ __all__ = [
     "PRESET_NAMES", "intrinsic_breakdown_field_sample", "bimodal_field_sample",
     # dataset io
     "DatasetFile", "save_dataset", "load_dataset", "cap_areas",
-    "cap_wafer_map", "iv_curves", "ramp_blocks", "resistance_records",
+    "cap_maps", "cap_wafer_map", "iv_curves", "ramp_blocks", "resistance_records",
     "ground_truth",
     # pipeline
     "STAGES", "AnalysisConfig", "WaferReport", "analyze", "render_text",

@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import __version__
-from .dataset import atomic_write_text, cap_areas, cap_wafer_map, load_dataset, save_dataset
+from .dataset import atomic_write_text, cap_maps, load_dataset, save_dataset
 from .errors import DatasetError
 from .report import STAGES, AnalysisConfig, analyze, export_wafer_grid, render_json, render_text
 from .synthetic import PRESET_NAMES, WaferSpec, generate_wafer, preset_spec
@@ -208,11 +208,11 @@ def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
         try:
             atomic_write_text(os.path.join(out_dir, _report_name(path, fmt)), [rendered])
             if with_grids:
-                for area in cap_areas(ds):
+                for area, wmap in cap_maps(ds).items():
                     grid_path = os.path.join(
                         out_dir, f"{_stem(path)}.cap{area:g}.csv"
                     )
-                    export_wafer_grid(cap_wafer_map(ds, area), grid_path)
+                    export_wafer_grid(wmap, grid_path)
         except OSError as exc:
             print(f"jjwafer: error: cannot write under {out_dir}: {exc}",
                   file=sys.stderr)

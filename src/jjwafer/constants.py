@@ -32,6 +32,7 @@ __all__ = [
     "v_per_nm_to_mv_per_cm",
     "tunnel_coefficient",
     "barrier_height_from_k",
+    "direct_tunneling_prefactor",
     "field_strength",
 ]
 
@@ -156,6 +157,12 @@ def barrier_height_from_k(k_per_nm: float, beta: float = DEFAULT_BETA,
     k_per_m = k_per_nm * 1e9
     phi_j = (k_per_m * CONST.hbar / (2.0 * beta)) ** 2 / (2.0 * m_rel * CONST.m_e)
     return j_to_ev(phi_j)
+
+
+def direct_tunneling_prefactor(beta: float = DEFAULT_BETA) -> float:
+    """alpha = e / (8 beta^2 pi^2 hbar) of the ohmic tunneling channel,
+    evaluated literally in SI (see the transport module)."""
+    return CONST.e / (8.0 * beta**2 * math.pi**2 * CONST.hbar)
 
 
 def field_strength(v_bt: float, t_ox_nm: float) -> float:

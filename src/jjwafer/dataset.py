@@ -131,6 +131,7 @@ __all__ = [
     "loads_json",
     "dumps_json",
     "cap_areas",
+    "cap_maps",
     "cap_wafer_map",
     "iv_curves",
     "ramp_traces",
@@ -904,31 +905,52 @@ def _grid_shape(ds: DatasetFile) -> tuple[int, int]:
     _check_extent(limits, top)
     shape = tuple(index + 1 if limit is None else limit
                   for limit, (index, _) in zip(limits, top))
-    if 0 in shape:
-        raise DatasetSchemaError("cannot infer grid shape: no die-addressed records")
+    if min(shape) < 1:
+        raise DatasetSchemaError("cannot infer grid shape: no die-addressed "
+                                 "records with indices >= 0")
     return shape
+
+
+def cap_maps(ds: DatasetFile) -> dict[float, WaferMap]:
+    """The WaferMap of every pad area, keyed by area ascending, each on the
+    grid of the whole dataset; {} when there are no cap records.  Raises
+    what cap_wafer_map raises for the first such area it refuses."""
+    return _cap_maps(ds.cap, _grid_shape(ds), ds.label) if ds.cap else {}
 
 
 def cap_wafer_map(ds: DatasetFile, area_um2: float) -> WaferMap:
     """WaferMap of the capacitance cells probed at one pad area."""
-    rows, cols = _grid_shape(ds)
-    values = np.full((rows, cols), np.nan)
-    probed = np.zeros((rows, cols), dtype=bool)
-    found = False
-    for rec in ds.cap:
-        if rec.area_um2 != area_um2:
-            continue
-        found = True
-        if rec.row < 0 or rec.col < 0:  # numpy would count it from the far edge
-            name = "row" if rec.row < 0 else "col"
-            raise _index_fault(name, getattr(rec, name), None)
-        probed[rec.row, rec.col] = True
-        if rec.c_ff is not None:
-            values[rec.row, rec.col] = rec.c_ff
-    if not found:
+    shape = _grid_shape(ds)
+    cells = [rec for rec in ds.cap if rec.area_um2 == area_um2]
+    if not cells:
         raise DatasetSchemaError(f"no cap records at area {area_um2!r}")
-    return WaferMap(values=values, probed=probed, area_um2=area_um2,
-                    label=ds.label, units="fF")
+    (wmap,) = _cap_maps(cells, shape, ds.label).values()
+    return wmap
+
+
+_AREA, _C_FF = operator.attrgetter("area_um2"), operator.attrgetter("c_ff")
+
+
+def _cap_maps(cap: list[CapRecord], shape: tuple[int, int],
+              label: str) -> dict[float, WaferMap]:
+    """The cells of cap scattered into one (areas, rows, cols) block, which
+    cap_maps returns as one WaferMap per area."""
+    n = len(cap)
+    rows, cols = (np.fromiter(map(get, cap), int, n) for get in (_ROW, _COL))
+    areas, layer = np.unique(np.fromiter(map(_AREA, cap), float, n),
+                             return_inverse=True)
+    if (negative := np.flatnonzero((rows < 0) | (cols < 0))).size:
+        # numpy would count it from the far edge; name the first of the
+        # smallest area that has one
+        rec = cap[negative[np.argmin(layer[negative])]]
+        name = "row" if rec.row < 0 else "col"
+        raise _index_fault(name, getattr(rec, name), None)
+    values = np.full((len(areas), *shape), np.nan)
+    probed = np.zeros(values.shape, dtype=bool)
+    probed[layer, rows, cols] = True
+    values[layer, rows, cols] = [math.nan if c is None else c for c in map(_C_FF, cap)]
+    return {a: WaferMap(values=v, probed=p, area_um2=a, label=label, units="fF")
+            for a, v, p in zip(areas.tolist(), values, probed)}
 
 
 # a curve or trace gets copies of its record's series, so no stage writes

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._fit import Line, fit_line
 from .breakdown import DEFAULT_JUMP_FACTOR, DEFAULT_JUMP_FLOOR_A, jump_steps
-from .constants import CONST, DEFAULT_BETA, nm_to_m, um2_to_m2
+from .constants import CONST, DEFAULT_BETA, direct_tunneling_prefactor, nm_to_m, um2_to_m2
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -279,7 +279,7 @@ def fit_k_from_dt(iv, t_ox_nm: float, area_um2: float | None = None,
     if not (g > 0.0):
         raise NoRootError(f"non-positive ohmic conductance {g}")
 
-    alpha = CONST.e / (8.0 * beta**2 * math.pi**2 * CONST.hbar)
+    alpha = direct_tunneling_prefactor(beta)
     log_pref = math.log(alpha * um2_to_m2(area_um2) / nm_to_m(t_ox_nm))
 
     def log_excess(k_per_nm: float) -> float:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from ._fields import check_finite_fields
 from .breakdown import (
     DEFAULT_JUMP_FACTOR,
     DEFAULT_JUMP_FLOOR_A,
@@ -63,8 +63,7 @@ from .constants import (
 from .dataset import (
     DatasetFile,
     atomic_write_text,
-    cap_areas,
-    cap_wafer_map,
+    cap_maps,
     iv_curves,
     ramp_blocks,
     resistance_records,
@@ -109,11 +108,7 @@ class AnalysisConfig:
     t_ox_nm: float | None = None  # overrides the capacitance-derived thickness
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            x = getattr(self, f.name)
-            if not (x is None and f.name == "t_ox_nm" or isinstance(x, numbers.Real)
-                    and not isinstance(x, bool) and math.isfinite(x)):
-                raise ValueError(f"{f.name} must be a finite number, got {x!r}")
+        check_finite_fields(self)
         if not (self.eps_r > 0.0):
             raise ValueError(f"eps_r must be positive, got {self.eps_r}")
         if not (self.beta > 0.0) or not (self.m_rel > 0.0):
@@ -254,13 +249,12 @@ def analyze(ds: DatasetFile, config: AnalysisConfig | None = None,
 
 
 def _stage_cap(ds, config, out, notes, errors) -> None:
-    areas = cap_areas(ds)
-    if not areas:
+    maps = cap_maps(ds)
+    if not maps:
         errors.append(("cap", "no capacitance records"))
         return
     rows = []
-    for a in areas:
-        wmap = cap_wafer_map(ds, a)
+    for a, wmap in maps.items():
         try:
             st = wafer_statistics(wmap)
         except AnalysisError as exc:
@@ -542,7 +536,7 @@ def export_wafer_grid(wmap: WaferMap, path: str) -> None:
     meta = [
         f"label={wmap.label}",
         f"units={wmap.units}",
-        f"area_um2={wmap.area_um2!r}",
+        f"area_um2={float(wmap.area_um2)!r}",
         f"rows={wmap.shape[0]}",
         f"cols={wmap.shape[1]}",
         f"n_valid={wmap.n_valid}",

@@ -28,15 +28,16 @@ counts, the generating parameters) rides along in the dataset metadata as a
 JSON snapshot, so analysis results can always be compared with what produced
 them.  The generator writes dataset records, which a caller turns into
 curves, traces or blocks with the same materializers analyze() reads a file
-with; SyntheticDataset keeps one view, its cap maps, built on first use, so
-a caller that only saves the dataset never pays for it.  It walks the probed
-dies once, in row-major order: every die draws its thickness and dead flag,
-and a live die its capacitance cells and ramp.  Every ramp steps along one
-voltage staircase, and every I-V sweep along one voltage grid: each is built
-once as an array('d') that all its records share as their v, while every
-record holds its own currents.  To change one record's v, assign it a new
-series rather than writing into the shared one.  The currents go from numpy's
-float64 into the records' array('d') bit for bit.
+with; SyntheticDataset keeps no view: its cap maps are built from the
+records at each access, so a caller that only saves the dataset never pays
+for them and one that edits the records never reads stale maps.  It walks
+the probed dies once, in row-major order: every die draws its thickness and
+dead flag, and a live die its capacitance cells and ramp.  Every ramp steps
+along one voltage staircase, and every I-V sweep along one voltage grid:
+each is built once as an array('d') that all its records share as their v,
+while every record holds its own currents.  To change one record's v, assign
+it a new series rather than writing into the shared one.  The currents go
+from numpy's float64 into the records' array('d') bit for bit.
 
 One call builds one Philox generator and, before each stream's draws, resets
 its state to the start of that stream: zero counter, empty buffer, key
@@ -51,10 +52,10 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
+from ._fields import check_finite_fields
 from .breakdown import DEFAULT_RAMP_RATE_V_PER_S, DEFAULT_RAMP_STEP_V
 from .capacitance import EPS_R_REFERENCE, WaferMap
 from .constants import CONST, nm_to_m, um2_to_cm2, um2_to_m2, f_to_ff
@@ -65,7 +66,7 @@ from .dataset import (
     IVRecord,
     RampRecord,
     ResRecordRow,
-    cap_wafer_map,
+    cap_maps,
 )
 from .geometry import DEFAULT_BOTTOM_THICKNESS_UM, JunctionGeometry
 from .resistance import junction_resistance
@@ -248,6 +249,7 @@ class WaferSpec:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        check_finite_fields(self)
         if not (1 <= self.rows <= MAX_GRID and 1 <= self.cols <= MAX_GRID):
             raise ValueError(f"rows and cols must lie in 1..{MAX_GRID}")
         if len(set(self.cap_areas_um2)) != len(self.cap_areas_um2):
@@ -304,22 +306,22 @@ def preset_spec(name: str, seed: int = 0, **overrides) -> WaferSpec:
 class SyntheticDataset:
     """Result of generate_wafer: the spec it ran, the ground truth it drew,
     and the dataset records it wrote, which analyze() reads through the
-    dataset module's materializers (cap_wafer_map, iv_curves, ramp_blocks,
+    dataset module's materializers (cap_maps, iv_curves, ramp_blocks,
     resistance_records) as it reads a loaded file.
 
-    maps, one WaferMap per probed area in spec order, is built by
-    cap_wafer_map on first access and kept; the benchmark's grid checks
-    read it.
+    maps, one WaferMap per probed area in spec order, is built by cap_maps
+    at each access, so it shows the records as they are then; the
+    benchmark's grid checks read it.
     """
 
     spec: WaferSpec
     ground_truth: dict
     dataset: DatasetFile
 
-    @cached_property
+    @property
     def maps(self) -> dict[float, WaferMap]:
-        return {a: cap_wafer_map(self.dataset, a)
-                for a in map(float, self.spec.cap_areas_um2)}
+        maps = cap_maps(self.dataset)
+        return {a: maps[a] for a in map(float, self.spec.cap_areas_um2)}
 
 
 def _nan_to_none(grid: np.ndarray) -> list:

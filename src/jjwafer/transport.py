@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .constants import (
     DEFAULT_BETA,
     DEFAULT_M_REL,
     barrier_height_from_k,
+    direct_tunneling_prefactor,
     nm_to_m,
     ohm_m2_to_mohm_um2,
     tunnel_coefficient,
@@ -217,7 +218,7 @@ def _dt_conductance_si(area_um2: float, model: OxideModel) -> float:
             stacklevel=3,
         )
         return 0.0
-    alpha = CONST.e / (8.0 * model.beta**2 * math.pi**2 * CONST.hbar)
+    alpha = direct_tunneling_prefactor(model.beta)
     k_m = model.k * 1e9
     return alpha * k_m * um2_to_m2(area_um2) / nm_to_m(model.t_ox) * math.exp(-kt)
 
@@ -243,30 +244,31 @@ def direct_tunneling_didv(v, area_um2: float, model: OxideModel):
     return float(out) if scalar else out
 
 
+def _mott_gurney_coeff(area_um2: float, model: OxideModel) -> float:
+    """(9/8) * A * mu * eps0 * eps_r / t_ox^3 in SI [A/V^2]."""
+    _check_area(area_um2)
+    if model.mu is None:
+        raise ValueError("space-charge-limited model requires an explicit mobility mu")
+    mu_si = model.mu * 1e-4  # cm^2/(V s) -> m^2/(V s)
+    return 1.125 * um2_to_m2(area_um2) * mu_si * CONST.eps0 * model.eps_r / nm_to_m(model.t_ox) ** 3
+
+
 def mott_gurney_current(v, area_um2: float, model: OxideModel):
     """Trap-free space-charge-limited current [A], quadratic in v.
 
     i = (9/8) * A * mu * eps0 * eps_r * v^2 / t_ox^3.  The mobility must be
     set explicitly on the model; there is no defensible default.
     """
-    _check_area(area_um2)
-    if model.mu is None:
-        raise ValueError("space-charge-limited model requires an explicit mobility mu")
+    coeff = _mott_gurney_coeff(area_um2, model)
     varr, scalar = _as_float_array(v)
-    mu_si = model.mu * 1e-4  # cm^2/(V s) -> m^2/(V s)
-    coeff = 1.125 * um2_to_m2(area_um2) * mu_si * CONST.eps0 * model.eps_r / nm_to_m(model.t_ox) ** 3
     out = coeff * varr**2
     return float(out) if scalar else out
 
 
 def mott_gurney_didv(v, area_um2: float, model: OxideModel):
     """Analytic di/dv of the space-charge-limited channel [A/V]."""
-    _check_area(area_um2)
-    if model.mu is None:
-        raise ValueError("space-charge-limited model requires an explicit mobility mu")
+    coeff = _mott_gurney_coeff(area_um2, model)
     varr, scalar = _as_float_array(v)
-    mu_si = model.mu * 1e-4
-    coeff = 1.125 * um2_to_m2(area_um2) * mu_si * CONST.eps0 * model.eps_r / nm_to_m(model.t_ox) ** 3
     out = 2.0 * coeff * varr
     return float(out) if scalar else out
 
@@ -363,7 +365,7 @@ def implied_area_resistance(k_per_nm: float, t_ox_nm: float,
             stacklevel=2,
         )
         return math.inf
-    alpha = CONST.e / (8.0 * beta**2 * math.pi**2 * CONST.hbar)
+    alpha = direct_tunneling_prefactor(beta)
     ra_si = nm_to_m(t_ox_nm) / (alpha * k_per_nm * 1e9 * math.exp(-kt))
     return ohm_m2_to_mohm_um2(ra_si)
 
@@ -377,11 +379,7 @@ def fn_scale_for_crossover(model: OxideModel, area_um2: float, v_cross: float) -
     if not (v_cross > 0.0):
         raise ValueError(f"crossover voltage must be positive, got {v_cross}")
     i_dt = direct_tunneling_current(v_cross, area_um2, model)
-    unit_model = OxideModel(
-        t_ox=model.t_ox, k=model.k, phi=model.phi, eps_r=model.eps_r,
-        beta=model.beta, m_rel=model.m_rel, mu=model.mu, fn_scale=1.0,
-    )
-    i_fn_unit = fowler_nordheim_current(v_cross, area_um2, unit_model)
+    i_fn_unit = fowler_nordheim_current(v_cross, area_um2, replace(model, fn_scale=1.0))
     if i_dt <= 0.0 or i_fn_unit <= 0.0:
         raise ValueError(
             f"cannot calibrate crossover at {v_cross} V: a channel underflows to 0"

@@ -6,6 +6,7 @@ from jjwafer.constants import (
     CONST,
     DEFAULT_BETA,
     DEFAULT_M_REL,
+    direct_tunneling_prefactor,
     field_strength,
     mohm_um2_to_ohm_m2,
     nm_to_m,
@@ -57,3 +58,11 @@ def test_field_strength_rejects_nonpositive_thickness():
         field_strength(1.0, 0.0)
     with pytest.raises(ValueError):
         field_strength(1.0, -4.4)
+
+
+def test_direct_tunneling_prefactor_keeps_its_bits():
+    # transport and iv_analysis read alpha from here; the expression is the
+    # one they wrote out, so no result moves by a rounding
+    for beta in (DEFAULT_BETA, 0.5, 1.3):
+        assert direct_tunneling_prefactor(beta) == \
+            CONST.e / (8.0 * beta**2 * math.pi**2 * CONST.hbar)

@@ -7,6 +7,8 @@
 * analyze() and both renderers run on every dataset a reader accepted
 * one CLI run over good files and near misses reports each file as if it
   ran alone, and exits with the worst file's code
+* cap_maps and cap_wafer_map build the maps, and refuse the datasets, that
+  a loop over the records per area builds and refuses
 """
 
 import json
@@ -14,8 +16,12 @@ import math
 import warnings
 from dataclasses import replace
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from jjwafer import dataset as dataset_module
+from jjwafer.capacitance import WaferMap
 from jjwafer.cli import main
 from jjwafer.dataset import (
     MAX_GRID,
@@ -24,12 +30,15 @@ from jjwafer.dataset import (
     IVRecord,
     RampRecord,
     ResRecordRow,
+    cap_areas,
+    cap_maps,
+    cap_wafer_map,
     dumps_json,
     dumps_text,
     loads_json,
     loads_text,
 )
-from jjwafer.errors import DatasetError
+from jjwafer.errors import DatasetError, DatasetSchemaError
 from jjwafer.report import AnalysisConfig, analyze, render_json, render_text
 from jjwafer.synthetic import WaferSpec, generate_wafer
 
@@ -323,3 +332,88 @@ def test_cli_reports_the_files_beside_one_that_is_not_utf8(tmp_path, capsys):
         assert err.startswith(f"jjwafer: error: {path}: line ") and err.count("\n") == 1
         assert "not UTF-8 text" in err
     assert "Traceback" not in captured.err
+
+
+def _loop_wafer_map(ds, area_um2):
+    """cap_wafer_map as one loop over the records per area: the oracle of
+    cap_maps and cap_wafer_map."""
+    rows, cols = dataset_module._grid_shape(ds)
+    values = np.full((rows, cols), np.nan)
+    probed = np.zeros((rows, cols), dtype=bool)
+    found = False
+    for rec in ds.cap:
+        if rec.area_um2 != area_um2:
+            continue
+        found = True
+        if rec.row < 0 or rec.col < 0:
+            name = "row" if rec.row < 0 else "col"
+            raise dataset_module._index_fault(name, getattr(rec, name), None)
+        probed[rec.row, rec.col] = True
+        if rec.c_ff is not None:
+            values[rec.row, rec.col] = rec.c_ff
+    if not found:
+        raise DatasetSchemaError(f"no cap records at area {area_um2!r}")
+    return WaferMap(values=values, probed=probed, area_um2=area_um2,
+                    label=ds.label, units="fF")
+
+
+@st.composite
+def cap_cases(draw):
+    """A dataset of datasets(), whose iv and ramp dies may widen an inferred
+    grid, with up to two cap cells added at any area: one with a negative
+    index, or one past the grid, which widens an undeclared grid for every
+    area and lies outside a declared one."""
+    ds = draw(datasets())
+    for cell in draw(st.lists(st.sampled_from(["negative", "past"]), max_size=2)):
+        present = [rec.area_um2 for rec in ds.cap]
+        area = draw(st.sampled_from(present) | positive if present else positive)
+        if cell == "negative":
+            row, col = draw(st.sampled_from([(-1, 0), (0, -1), (-1, -1)]))
+            row, col = row * draw(st.integers(1, GRID)), col * draw(st.integers(1, GRID))
+            ds.cap.insert(draw(st.integers(0, len(ds.cap))),
+                          CapRecord(row, col, area, draw(readings)))
+        else:
+            ds.cap.append(CapRecord(int(ds.wafer.get("rows", GRID)), 0, area,
+                                    draw(readings)))
+    return ds
+
+
+def _outcome(build, *args):
+    """What build returns, or the class and message of what it raises."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    if isinstance(want, WaferMap):
+        got, want = {None: got}, {None: want}
+    assert list(got) == list(want)
+    for mine, oracle in zip(got.values(), want.values()):
+        assert np.array_equal(mine.values, oracle.values, equal_nan=True)
+        assert np.array_equal(mine.probed, oracle.probed)
+        assert type(mine.area_um2) is float and mine.area_um2 == oracle.area_um2
+        assert (mine.label, mine.units) == (oracle.label, oracle.units)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(cap_cases(), positive)
+def test_cap_maps_match_a_loop_over_the_records(ds, absent):
+    areas = cap_areas(ds)
+    _assert_same(_outcome(cap_maps, ds),
+                 _outcome(lambda: {a: _loop_wafer_map(ds, a) for a in areas}))
+    for area in (*areas, absent):
+        _assert_same(_outcome(cap_wafer_map, ds, area), _outcome(_loop_wafer_map, ds, area))
+
+
+def test_cap_maps_refuse_a_grid_that_only_negative_indices_would_infer():
+    # numpy would refuse the shape (-2, 1) with a message naming no record
+    ds = DatasetFile(cap=[_cap(row=-3)])
+    for build, args in ((cap_maps, ()), (cap_wafer_map, (25.0,)), (cap_wafer_map, (1.0,))):
+        with pytest.raises(DatasetSchemaError, match="cannot infer grid shape"):
+            build(ds, *args)

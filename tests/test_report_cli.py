@@ -8,6 +8,8 @@ from array import array
 import numpy as np
 import pytest
 
+import jjwafer
+from jjwafer import cli as cli_module, dataset as dataset_module, report as report_module
 from jjwafer.breakdown import detect_breakdown
 from jjwafer.capacitance import WaferMap
 from jjwafer.cli import EXIT_ANALYSIS, EXIT_INVALID, EXIT_IO, EXIT_OK, main
@@ -267,6 +269,18 @@ def test_wafer_grid_round_trip(tmp_path):
     assert back.n_probed == wmap.n_valid
 
 
+@pytest.mark.parametrize("area, written", [(np.float64(25.0), "25.0"), (25, "25.0"),
+                                           (0.1 + 0.2, "0.30000000000000004")])
+def test_wafer_grid_sidecar_writes_the_area_as_a_float(tmp_path, area, written):
+    path = str(tmp_path / "grid.csv")
+    export_wafer_grid(WaferMap(values=np.ones((2, 3)), probed=np.ones((2, 3), bool),
+                               area_um2=area), path)
+    with open(path + ".meta") as fh:
+        assert f"area_um2={written}\n" in fh.read()
+    back = load_wafer_grid(path)
+    assert type(back.area_um2) is float and back.area_um2 == area
+
+
 def test_load_wafer_grid_requires_sidecar(tmp_path):
     path = str(tmp_path / "orphan.csv")
     with open(path, "w") as fh:
@@ -400,6 +414,18 @@ def test_cli_simulate_refuses_a_dataset_the_readers_refuse(tmp_path, capsys, fmt
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("override, message", [
+    ("cap_noise_pct=nan", "cap_noise_pct must be a finite number, got nan"),
+    ("ramp_v_max=inf", "ramp_v_max must be a finite number, got inf"),
+])
+def test_cli_simulate_refuses_a_number_that_is_not_finite(tmp_path, capsys, override,
+                                                          message):
+    out = tmp_path / "y.jjw"
+    assert run_cli("simulate", "--out", str(out), "--set", override) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"jjwafer: error: {message}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_simulate_overrides(tmp_path, capsys):
     out = str(tmp_path / "thin.json")
     code = run_cli("simulate", "--out", out, "--set", "t_ox_nm=3.5",
@@ -447,6 +473,24 @@ def test_cli_report_writes_reports_and_grids(tmp_path, capsys):
     grid = load_wafer_grid(os.path.join(out_dir, "w.cap25.csv"))
     assert grid.n_valid == 140
     assert grid.values[7, 7] == pytest.approx(500.0, rel=1e-12)
+
+
+def test_cli_report_builds_the_cap_maps_once_to_analyze_and_once_to_export(
+        tmp_path, capsys, monkeypatch):
+    data = str(tmp_path / "w.jjw")
+    run_cli("simulate", "--out", data)
+    calls = dict.fromkeys(("cap_maps", "cap_wafer_map"), 0)
+    originals = {name: getattr(dataset_module, name) for name in calls}
+    for module in (jjwafer, cli_module, dataset_module, report_module):
+        for name, fn in originals.items():
+            if hasattr(module, name):
+                def counted(*args, _name=name, _fn=fn):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    assert run_cli("report", data, "--out", str(tmp_path / "out")) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"cap_maps": 2, "cap_wafer_map": 0}
 
 
 @pytest.mark.parametrize("command", [("report",), ("analyze", "all")])

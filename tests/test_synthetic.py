@@ -1,7 +1,9 @@
 """Determinism and internal consistency of the synthetic wafer generator."""
 
+import dataclasses
 import hashlib
 import json
+import math
 from array import array
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from jjwafer import dataset as dataset_module, synthetic
 from jjwafer.breakdown import detect_breakdown
 from jjwafer.dataset import (
+    cap_maps,
     cap_wafer_map,
     dumps_json,
     dumps_text,
@@ -151,28 +154,29 @@ def test_reset_stream_draws_what_a_fresh_generator_draws():
             == _fresh(5, synthetic._WAFER_STREAM_BASE).uniform())
 
 
-_VIEWS = {"cap_wafer_map": "maps"}
-
-
 def test_views_are_built_on_first_use_and_once(tmp_path, monkeypatch):
+    # generating and saving build no map; each read of maps is one cap_maps
+    # call over the records as they are then, so an edit shows at once
     spec = WaferSpec(rows=6, cols=6, seed=3)
-    for name in _VIEWS:
-        def refuse(*args, _name=name):
-            raise AssertionError(f"{_name} called")
-        monkeypatch.setattr(synthetic, name, refuse)
+
+    def refuse(ds):
+        raise AssertionError("cap_maps called")
+    monkeypatch.setattr(synthetic, "cap_maps", refuse)
+    monkeypatch.setattr(dataset_module, "cap_maps", refuse)
     gen = generate_wafer(spec)
     save_dataset(gen.dataset, str(tmp_path / "w.jjw"))
     save_dataset(gen.dataset, str(tmp_path / "w.json"))
 
-    calls = dict.fromkeys(_VIEWS, 0)
-    for name in _VIEWS:
-        def counted(*args, _name=name, _fn=getattr(dataset_module, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(synthetic, name, counted)
-    for name, view in _VIEWS.items():
-        assert getattr(gen, view) is getattr(gen, view)
-    assert calls == {"cap_wafer_map": len(spec.cap_areas_um2)}
+    calls = []
+    monkeypatch.setattr(synthetic, "cap_maps",
+                        lambda ds: calls.append(ds) or cap_maps(ds))
+    first = gen.maps
+    assert calls == [gen.dataset]
+    assert list(first) == list(spec.cap_areas_um2)
+    rec = gen.dataset.cap[0]
+    rec.c_ff = 123.0
+    assert gen.maps[rec.area_um2].values[rec.row, rec.col] == 123.0
+    assert len(calls) == 2
 
 
 def test_die_draws_do_not_depend_on_grid_size():
@@ -298,6 +302,32 @@ def test_presets():
     quiet = preset_spec("ref", seed=1, cap_noise_pct=0.0)
     assert quiet.cap_noise_pct == 0.0
     assert quiet.iv_noise_pct > 0.0
+
+
+_FLOAT_FIELDS = {f.name: f.type for f in dataclasses.fields(WaferSpec) if "float" in f.type}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_FIELDS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, None])
+def test_spec_refuses_a_float_that_is_not_finite(name, bad):
+    # the rule AnalysisConfig follows too: a finite real number, not a bool, None only
+    # where the type allows it, in a tuple field for every element
+    ftype = _FLOAT_FIELDS[name]
+    if bad is None and "None" in ftype:
+        assert getattr(WaferSpec(**{name: None}), name) is None
+        return
+    many = ftype.startswith("tuple")
+    value = (25.0, bad) if many else bad
+    with pytest.raises(ValueError) as refused:
+        WaferSpec(**{name: value})
+    what = "hold finite numbers" if many else "be a finite number"
+    assert str(refused.value) == f"{name} must {what}, got {value!r}"
+
+
+def test_a_mask_radius_of_rows_plus_cols_probes_every_die():
+    # what mask_radius=inf did before the spec refused it
+    truth = generate_wafer(WaferSpec(rows=4, cols=3, mask_radius=7.0)).ground_truth
+    assert np.all(truth["probed_map"])
 
 
 def test_spec_validation():
