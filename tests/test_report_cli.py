@@ -1,8 +1,10 @@
 """Pipeline report assembly, grid export, and the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 from array import array
 
 import numpy as np
@@ -18,6 +20,7 @@ from jjwafer.errors import DatasetSchemaError, NoBreakdownError
 from jjwafer.report import (
     STAGES,
     AnalysisConfig,
+    WaferReport,
     analyze,
     export_wafer_grid,
     format_grid_cell,
@@ -186,6 +189,120 @@ def test_overflowing_v_bt_spread_is_a_stage_error():
     assert rep.v_bt_v is None and rep.v_bt_sd_v is None
     assert [(stage, msg.split(" (")[0]) for stage, msg in rep.stage_errors] == \
         [("bkd", "V_BT statistics overflow")]
+    render_text(rep)
+    render_json(rep)
+
+
+def _one_cell_per_area(ds):
+    return list({c.area_um2: c for c in ds.cap if c.c_ff is not None}.values())
+
+
+def _subnormal_areas(ds):
+    # three distinct areas whose spread underflows in the C/A regression
+    tiny = {1.0: 1e-320, 25.0: 2e-320, 50.0: 3e-320}
+    return [dataclasses.replace(c, area_um2=tiny[c.area_um2])
+            for c in ds.cap if c.area_um2 in tiny]
+
+
+def _falling_readings(ds):
+    return [dataclasses.replace(c, c_ff=None if c.c_ff is None else 1000.0 / c.area_um2)
+            for c in ds.cap]
+
+
+def _cubic_sweeps(ds):
+    return [dataclasses.replace(r, i=array("d", [1e-9 * v**3 for v in r.v]))
+            for r in ds.iv]
+
+
+def _one_w_bot(ds):
+    return [r for r in ds.res if r.w_bot_um == ds.res[0].w_bot_um]
+
+
+def _one_breakdown(ds):
+    flat = dataclasses.replace(ds.ramp[1], i=array("d", [1e-12]) * len(ds.ramp[1].i))
+    return [ds.ramp[0], flat]
+
+
+def _overflowing_ramps(ds):
+    return [dataclasses.replace(r, v=array("d", [x * 1e160 for x in r.v]),
+                                step_v=r.step_v * 1e160) for r in ds.ramp]
+
+
+# every stage error a dataset can reach: (stages, edit, config, error, fields set
+# before the stage stopped; cap_by_area reads as its areas)
+STAGE_EXITS = {
+    "cap-no-records": (("cap",), {"cap": lambda ds: []}, None,
+                       ("cap", "no capacitance records"), {}),
+    "cap-no-valid-area": (("cap",), {"cap": _one_cell_per_area}, None,
+                          ("cap", "no area had enough valid cells"), {}),
+    "cap-two-areas": (
+        ("cap",), {"cap": lambda ds: [c for c in ds.cap if c.area_um2 in (1.0, 25.0)]},
+        None, ("cap", "need 3 pad areas for the C/A regression, have 2"),
+        {"cap_by_area": (1.0, 25.0), "headline_area_um2": 25.0, "c_mean_ff": 500.0,
+         "c_sd_ff": 0.0, "rsd_c_pct": 0.0, "yield_pct": 100.0}),
+    "cap-fit-fails": (
+        ("cap",), {"cap": _subnormal_areas}, None,
+        ("cap", "C/A regression failed: spread of the areas underflows to zero"),
+        {"cap_by_area": (1e-320, 2e-320, 3e-320), "headline_area_um2": 3e-320,
+         "c_mean_ff": 1000.0, "c_sd_ff": 0.0, "rsd_c_pct": 0.0, "yield_pct": 100.0}),
+    "cap-ca-not-positive": (
+        ("cap",), {"cap": _falling_readings}, None,
+        ("cap", re.compile(r"thickness conversion failed: capacitance per area must "
+                           r"be positive, got -0\.197116\d*")),
+        {"cap_by_area": (1.0, 25.0, 50.0, 100.0, 400.0, 1600.0),
+         "ca_ff_per_um2": pytest.approx(-0.19711620075138594, rel=1e-9),
+         "ca_stderr_ff_per_um2": pytest.approx(0.3073715646865171, rel=1e-9),
+         "cap_intercept_ff": pytest.approx(250.3416421391693, rel=1e-9),
+         "cap_r2": pytest.approx(0.09322975312146597, rel=1e-9),
+         "headline_area_um2": 1600.0, "c_mean_ff": 0.625, "c_sd_ff": 0.0,
+         "rsd_c_pct": 0.0, "yield_pct": 100.0}),
+    "iv-no-records": (("iv",), {"iv": lambda ds: []}, None,
+                      ("iv", "no I-V records"), {}),
+    "iv-no-thickness": (("iv",), {}, None,
+                        ("iv", "no oxide thickness available: run the cap stage or "
+                               "set t_ox_nm in the config"),
+                        {"n_iv_curves": 5}),
+    "iv-no-fit": (("iv",), {"iv": _cubic_sweeps}, AnalysisConfig(t_ox_nm=4.4),
+                  ("iv", "none of the 5 sweeps could be fit"),
+                  {"t_ox_nm": 4.4, "t_ox_source": "config", "n_iv_curves": 5}),
+    "res-no-records": (("res",), {"res": lambda ds: []}, None,
+                       ("res", "no resistance records"), {}),
+    "res-no-series": (("res",), {"res": _one_w_bot}, None,
+                      ("res", "InsufficientDataError: no constant-w_top series with "
+                              ">= 3 distinct w_bot values"),
+                      {"n_res_records": 9}),
+    "bkd-no-ramps": (("bkd",), {"ramp": lambda ds: []}, None,
+                     ("bkd", "no ramp records"), {}),
+    "bkd-one-breakdown": (("bkd",), {"ramp": _one_breakdown}, None,
+                          ("bkd", "need at least 2 breakdowns for statistics, got 1"),
+                          {"n_ramps": 2, "n_breakdowns": 1, "n_censored": 1}),
+    "bkd-overflow": (("bkd",), {"ramp": _overflowing_ramps}, None,
+                     ("bkd", re.compile(r"V_BT statistics overflow \(.+\)")),
+                     {"n_ramps": 25, "n_breakdowns": 25}),
+}
+
+
+@pytest.mark.parametrize("exit_id", STAGE_EXITS)
+def test_each_stage_error_keeps_the_fields_set_before_it(exit_id):
+    stages, edits, config, (stage, message), fields = STAGE_EXITS[exit_id]
+    ds = generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset
+    ds = dataclasses.replace(ds, **{kind: edit(ds) for kind, edit in edits.items()})
+    rep = analyze(ds, config=config, stages=stages)
+    assert len(rep.stage_errors) == 1
+    (got_stage, got_message), = rep.stage_errors
+    assert got_stage == stage
+    if isinstance(message, re.Pattern):
+        assert message.fullmatch(got_message), got_message
+    else:
+        assert got_message == message
+    set_fields = {
+        f.name: getattr(rep, f.name) for f in dataclasses.fields(WaferReport)
+        if f.name not in ("label", "etch_s", "stages_run", "notes", "stage_errors")
+        and getattr(rep, f.name) != f.default
+    }
+    if "cap_by_area" in set_fields:
+        set_fields["cap_by_area"] = tuple(r.area_um2 for r in rep.cap_by_area)
+    assert set_fields == fields
     render_text(rep)
     render_json(rep)
 
