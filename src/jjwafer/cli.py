@@ -25,7 +25,8 @@ import sys
 from . import __version__
 from .dataset import atomic_write_text, cap_maps, load_dataset, save_dataset
 from .errors import DatasetError
-from .report import STAGES, AnalysisConfig, analyze, export_wafer_grid, render_json, render_text
+from .report import (STAGES, AnalysisConfig, _area_text, analyze, export_wafer_grid,
+                     render_json, render_text)
 from .synthetic import PRESET_NAMES, WaferSpec, generate_wafer, preset_spec
 
 __all__ = ["main", "build_parser"]
@@ -210,7 +211,7 @@ def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
             if with_grids:
                 for area, wmap in cap_maps(ds).items():
                     grid_path = os.path.join(
-                        out_dir, f"{_stem(path)}.cap{area:g}.csv"
+                        out_dir, f"{_stem(path)}.cap{_area_text(area)}.csv"
                     )
                     export_wafer_grid(wmap, grid_path)
         except OSError as exc:

@@ -11,11 +11,16 @@ analyze() runs up to four stages over one dataset:
     bkd  breakdown voltages from the ramps, field statistics, ranked failure
          distribution, defect-to-intrinsic transition and defect density
 
-A stage that cannot run records a message in WaferReport.stage_errors under
-its name and the remaining stages still execute; per-record problems (one
-unfittable sweep, one censored ramp) become notes instead.  The absence of a
-two-population transition in the failure distribution is reported as a note,
-not an error: a clean wafer is supposed to look like that.
+A stage that cannot run raises _StageError; analyze() records its message in
+WaferReport.stage_errors under the stage's name, keeps the fields the stage
+set before it stopped, and runs the remaining stages.  Per-record problems
+(one unfittable sweep, one censored ramp) become notes instead.  The absence
+of a two-population transition in the failure distribution is reported as a
+note, not an error: a clean wafer is supposed to look like that.
+
+The iv and bkd stages use one oxide thickness: the config's t_ox_nm when it
+is set, whichever stages run, else the one the cap stage derives.  The report
+names that thickness and its source.
 
 Rendering is deterministic: equal reports give byte-equal text and JSON.
 
@@ -91,9 +96,6 @@ __all__ = [
     "load_wafer_grid",
 ]
 
-STAGES = ("cap", "iv", "res", "bkd")
-
-
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Tunable pipeline parameters; the defaults match the instruments."""
@@ -105,7 +107,7 @@ class AnalysisConfig:
     fn_r2_min: float = 0.995
     jump_factor: float = DEFAULT_JUMP_FACTOR
     jump_floor_a: float = DEFAULT_JUMP_FLOOR_A
-    t_ox_nm: float | None = None  # overrides the capacitance-derived thickness
+    t_ox_nm: float | None = None  # overrides the cap stage's thickness everywhere
 
     def __post_init__(self):
         check_finite_fields(self)
@@ -231,34 +233,35 @@ def analyze(ds: DatasetFile, config: AnalysisConfig | None = None,
 
     out: dict = {"label": ds.label, "etch_s": _parse_etch(ds.wafer),
                  "stages_run": stages}
+    if config.t_ox_nm is not None:  # the cap stage then leaves the thickness alone
+        out.update(t_ox_nm=config.t_ox_nm, t_ox_source="config")
     notes: list[str] = []
     errors: list[tuple[str, str]] = []
-
-    if "cap" in stages:
-        _stage_cap(ds, config, out, notes, errors)
-    if "iv" in stages:
-        _stage_iv(ds, config, out, notes, errors)
-    if "res" in stages:
-        _stage_res(ds, config, out, notes, errors)
-    if "bkd" in stages:
-        _stage_bkd(ds, config, out, notes, errors)
-
+    for name, stage in _STAGES.items():
+        if name in stages:
+            try:
+                stage(ds, config, out, notes)
+            except _StageError as exc:
+                errors.append((name, str(exc)))
     out["notes"] = tuple(notes)
     out["stage_errors"] = tuple(errors)
     return WaferReport(**out)
 
 
-def _stage_cap(ds, config, out, notes, errors) -> None:
+class _StageError(Exception):
+    """A stage cannot run; analyze() records the message under its name."""
+
+
+def _stage_cap(ds, config, out, notes) -> None:
     maps = cap_maps(ds)
     if not maps:
-        errors.append(("cap", "no capacitance records"))
-        return
+        raise _StageError("no capacitance records")
     rows = []
     for a, wmap in maps.items():
         try:
             st = wafer_statistics(wmap)
         except AnalysisError as exc:
-            notes.append(f"cap: area {a:g} um2 skipped ({exc})")
+            notes.append(f"cap: area {_area_text(a)} um2 skipped ({exc})")
             continue
         rows.append(AreaStats(
             area_um2=a, mean_ff=st.mean, sd_ff=st.sd, rsd_pct=st.rsd_pct,
@@ -266,8 +269,7 @@ def _stage_cap(ds, config, out, notes, errors) -> None:
         ))
     out["cap_by_area"] = tuple(rows)
     if not rows:
-        errors.append(("cap", "no area had enough valid cells"))
-        return
+        raise _StageError("no area had enough valid cells")
     headline = max(rows, key=lambda r: (r.n_valid, r.area_um2))
     out.update(
         headline_area_um2=headline.area_um2, c_mean_ff=headline.mean_ff,
@@ -275,14 +277,11 @@ def _stage_cap(ds, config, out, notes, errors) -> None:
         yield_pct=headline.yield_pct,
     )
     if len(rows) < 3:
-        errors.append(("cap", f"need 3 pad areas for the C/A regression, "
-                              f"have {len(rows)}"))
-        return
+        raise _StageError(f"need 3 pad areas for the C/A regression, have {len(rows)}")
     try:
         reg = fit_capacitance_per_area([(r.area_um2, r.mean_ff) for r in rows])
     except AnalysisError as exc:
-        errors.append(("cap", f"C/A regression failed: {exc}"))
-        return
+        raise _StageError(f"C/A regression failed: {exc}")
     out.update(
         ca_ff_per_um2=reg.ca_ff_per_um2, ca_stderr_ff_per_um2=reg.ca_stderr,
         cap_intercept_ff=reg.intercept_ff, cap_r2=reg.r2,
@@ -290,32 +289,20 @@ def _stage_cap(ds, config, out, notes, errors) -> None:
     try:
         t_ox = oxide_thickness_from_ca(reg.ca_ff_per_um2, config.eps_r)
     except (ValueError, ArithmeticError) as exc:
-        errors.append(("cap", f"thickness conversion failed: {exc}"))
-        return
-    out["t_ox_nm"] = t_ox
-    out["t_ox_source"] = "capacitance"
+        raise _StageError(f"thickness conversion failed: {exc}")
+    if "t_ox_nm" not in out:  # a config thickness takes precedence
+        out.update(t_ox_nm=t_ox, t_ox_source="capacitance")
 
 
-def _thickness_for(out, config) -> float | None:
-    if config.t_ox_nm is not None:
-        if out.get("t_ox_nm") is None:
-            out["t_ox_nm"] = config.t_ox_nm
-            out["t_ox_source"] = "config"
-        return config.t_ox_nm
-    return out.get("t_ox_nm")
-
-
-def _stage_iv(ds, config, out, notes, errors) -> None:
+def _stage_iv(ds, config, out, notes) -> None:
     curves = iv_curves(ds)
     out["n_iv_curves"] = len(curves)
     if not curves:
-        errors.append(("iv", "no I-V records"))
-        return
-    t_ox = _thickness_for(out, config)
+        raise _StageError("no I-V records")
+    t_ox = out.get("t_ox_nm")
     if t_ox is None:
-        errors.append(("iv", "no oxide thickness available: run the cap stage "
-                             "or set t_ox_nm in the config"))
-        return
+        raise _StageError("no oxide thickness available: run the cap stage "
+                          "or set t_ox_nm in the config")
     ks = []
     for cur in curves:
         try:
@@ -328,8 +315,7 @@ def _stage_iv(ds, config, out, notes, errors) -> None:
                          f"({type(exc).__name__}: {exc})")
     out["n_iv_fit"] = len(ks)
     if not ks:
-        errors.append(("iv", f"none of the {len(curves)} sweeps could be fit"))
-        return
+        raise _StageError(f"none of the {len(curves)} sweeps could be fit")
     arr = np.asarray(ks)
     k_mean = float(arr.mean())
     out["k_per_nm"] = k_mean
@@ -340,27 +326,24 @@ def _stage_iv(ds, config, out, notes, errors) -> None:
                                                          beta=config.beta)
 
 
-def _stage_res(ds, config, out, notes, errors) -> None:
+def _stage_res(ds, config, out, notes) -> None:
     records = resistance_records(ds)
     out["n_res_records"] = len(records)
     if not records:
-        errors.append(("res", "no resistance records"))
-        return
+        raise _StageError("no resistance records")
     try:
         dec = decompose_resistances(records)
     except (AnalysisError, ValueError) as exc:
-        errors.append(("res", f"{type(exc).__name__}: {exc}"))
-        return
+        raise _StageError(f"{type(exc).__name__}: {exc}")
     out.update(ra_mohm_um2=dec.ra, ra_s_mohm_um2=dec.ra_s,
                sidewall_negligible=dec.sidewall_negligible)
 
 
-def _stage_bkd(ds, config, out, notes, errors) -> None:
+def _stage_bkd(ds, config, out, notes) -> None:
     n_ramps = len(ds.ramp)
     out["n_ramps"] = n_ramps
     if not n_ramps:
-        errors.append(("bkd", "no ramp records"))
-        return
+        raise _StageError("no ramp records")
     v_bt = np.empty(n_ramps)  # nan for a ramp that ended without breakdown
     for rows, v, i in ramp_blocks(ds):
         steps = first_jumps(i, config.jump_factor, config.jump_floor_a)
@@ -373,21 +356,18 @@ def _stage_bkd(ds, config, out, notes, errors) -> None:
     if censored:
         notes.append(f"bkd: {censored} ramp(s) ended without breakdown")
     if v_bts.size < 2:
-        errors.append(("bkd", f"need at least 2 breakdowns for statistics, "
-                              f"got {v_bts.size}"))
-        return
+        raise _StageError(f"need at least 2 breakdowns for statistics, got {v_bts.size}")
     try:
         with np.errstate(over="raise"):
             mean = v_bts.mean()
             sd = v_bts.std(ddof=1)
             rsd_pct = 100.0 * sd / mean if mean else None
     except FloatingPointError as exc:
-        errors.append(("bkd", f"V_BT statistics overflow ({exc})"))
-        return
+        raise _StageError(f"V_BT statistics overflow ({exc})")
     out.update(v_bt_v=float(mean), v_bt_sd_v=float(sd),
                rsd_v_bt_pct=None if rsd_pct is None else float(rsd_pct))
 
-    t_ox = _thickness_for(out, config)
+    t_ox = out.get("t_ox_nm")
     if t_ox is None:
         notes.append("bkd: field analysis skipped, no oxide thickness available")
         return
@@ -420,7 +400,17 @@ def _stage_bkd(ds, config, out, notes, errors) -> None:
     )
 
 
+_STAGES = {"cap": _stage_cap, "iv": _stage_iv, "res": _stage_res, "bkd": _stage_bkd}
+STAGES = tuple(_STAGES)  # analyze() runs the chosen ones in this order
+
+
 # ----------------------------------------------------------------- rendering
+
+def _area_text(area: float) -> str:
+    """A pad area as text, distinct for distinct areas: '25', '25.0000001'."""
+    text = repr(float(area))
+    return text[:-2] if text.endswith(".0") else text
+
 
 def _g(x, unit: str = "") -> str:
     if x is None:
@@ -441,7 +431,7 @@ def render_text(report: WaferReport) -> str:
         lines.append("[cap]")
         for r in report.cap_by_area:
             lines.append(
-                f"  area {r.area_um2:g} um2: mean {_g(r.mean_ff, 'fF')}, "
+                f"  area {_area_text(r.area_um2)} um2: mean {_g(r.mean_ff, 'fF')}, "
                 f"sd {_g(r.sd_ff, 'fF')}, rsd {_g(r.rsd_pct, '%')}, "
                 f"yield {_g(r.yield_pct, '%')} ({r.n_valid}/{r.n_probed})"
             )
@@ -507,7 +497,6 @@ def _jsonable(value):
 def render_json(report: WaferReport) -> str:
     payload = {f.name: _jsonable(getattr(report, f.name))
                for f in dataclasses.fields(report)}
-    payload["stage_errors"] = [list(pair) for pair in report.stage_errors]
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 

@@ -29,6 +29,7 @@ from jjwafer.report import (
     render_text,
 )
 from jjwafer.synthetic import WaferSpec, generate_wafer
+from jjwafer.transport import implied_area_resistance
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +328,25 @@ def test_iv_stage_needs_a_thickness(clean_ds):
     assert rep2.k_per_nm == pytest.approx(15.7, rel=1e-6)
 
 
+def test_a_config_thickness_is_the_one_the_report_names_and_the_stages_use(clean_ds):
+    # the cap stage of the reference wafer gives 4.4 nm; the config says 4.0
+    config = AnalysisConfig(t_ox_nm=4.0)
+    rep = analyze(clean_ds, config=config)
+    assert rep.stage_errors == ()
+    assert (rep.t_ox_nm, rep.t_ox_source) == (4.0, "config")
+    assert "  t_ox: 4 nm (from config)\n" in render_text(rep)
+    assert rep.implied_ra_mohm_um2 == implied_area_resistance(rep.k_per_nm, rep.t_ox_nm)
+    assert rep.ca_ff_per_um2 == analyze(clean_ds).ca_ff_per_um2
+    alone = {stage: analyze(clean_ds, config=config, stages=(stage,)) for stage in STAGES}
+    for one in alone.values():
+        assert (one.t_ox_nm, one.t_ox_source) == (4.0, "config")
+    assert (rep.k_per_nm, rep.barrier_ev) == (alone["iv"].k_per_nm, alone["iv"].barrier_ev)
+    bkd_fields = ("v_bt_v", "weibull_shape", "weibull_r2", "e_crit_mv_cm",
+                  "defect_density_cm2")
+    assert [getattr(rep, f) for f in bkd_fields] == \
+        [getattr(alone["bkd"], f) for f in bkd_fields]
+
+
 def test_render_text_is_deterministic(clean_ds):
     rep = analyze(clean_ds)
     text = render_text(rep)
@@ -590,6 +610,23 @@ def test_cli_report_writes_reports_and_grids(tmp_path, capsys):
     grid = load_wafer_grid(os.path.join(out_dir, "w.cap25.csv"))
     assert grid.n_valid == 140
     assert grid.values[7, 7] == pytest.approx(500.0, rel=1e-12)
+
+
+def test_cli_report_names_pad_areas_that_print_alike_apart(tmp_path, capsys):
+    # 25 and 25.0000001 both print as 25 at six significant digits
+    spec = WaferSpec(rows=5, cols=5, seed=1, cap_areas_um2=(1.0, 25.0, 25.0000001, 400.0))
+    data = str(tmp_path / "w.jjw")
+    save_dataset(generate_wafer(spec).dataset, data)
+    out_dir = tmp_path / "out"
+    assert run_cli("report", data, "--out", str(out_dir)) == EXIT_OK
+    text = capsys.readouterr().out
+    names = ("1", "25", "25.0000001", "400")
+    assert sorted(os.listdir(out_dir)) == sorted(
+        [f"w.cap{n}.csv" for n in names] + [f"w.cap{n}.csv.meta" for n in names]
+        + ["w.report.txt"])
+    for name, area in zip(names, spec.cap_areas_um2):
+        assert load_wafer_grid(str(out_dir / f"w.cap{name}.csv")).area_um2 == area
+        assert text.count(f"  area {name} um2: ") == 1
 
 
 def test_cli_report_builds_the_cap_maps_once_to_analyze_and_once_to_export(
