@@ -39,7 +39,7 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> Line:
     through mean(y), with sse equal to sst.  Callers that must refuse a flat
     regressor test `sxx == 0.0` and raise their own error.
     """
-    xm, ym = x.mean(), y.mean()
+    xm, ym = float(x.mean()), float(y.mean())
     sxx = float(np.sum((x - xm) ** 2))
     sst = float(np.sum((y - ym) ** 2))
     if sxx == 0.0:
