@@ -203,6 +203,13 @@ def test_bimodal_defect_count_is_deterministic():
         bimodal_field_sample(0, 0.1, 3.2, 15.0, 4.95, 3.0)
 
 
+def test_bimodal_sample_draws_what_it_drew():
+    # the sample draws from a wafer stream of its own, whose key is pinned
+    fields = bimodal_field_sample(140, 18 / 140, 3.2, 15.0, 4.95, 3.0, seed=123)
+    digest = hashlib.sha256(fields.astype("<f8").tobytes()).hexdigest()
+    assert digest == "ca937253eea522fd83fbcb4f0b5f4a3b9292bb13c4dbe818611501225e208529"
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, np.int64(3), "3"])
 def test_bimodal_sample_refuses_the_seeds_wafer_spec_refuses(seed):
     with pytest.raises(ValueError) as spec_error:
