@@ -1,11 +1,11 @@
 """Seeded synthetic wafer generator for round-trip validation.
 
 Every random draw comes from a counter-based Philox stream keyed by
-(seed, stream_id), where stream_id encodes the die position and the quantity
-being drawn: stream_id = (row * 4096 + col) * 8 + tag.  The encoding does not
-depend on the grid dimensions, so enlarging the grid or adding quantities
-never perturbs the draws of existing dies; identical seeds give bit-identical
-datasets on any platform.
+(seed, stream_id).  _STREAMS names every stream the generator draws; a
+stream's id, base + (row * MAX_GRID + col) * stride + tag, does not depend on
+the grid dimensions, so enlarging the grid or adding a stream never perturbs
+the draws of existing dies, and a new per-die population adds its row in the
+space _DIE_NEW.  Identical seeds give bit-identical datasets on any platform.
 
 Per-die quantities synthesized:
 
@@ -88,17 +88,19 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-# stream tags per die
-_TAG_THICKNESS = 0
-_TAG_DEAD = 1
-_TAG_CAP = 2
-_TAG_IV = 3
-_TAG_INTRINSIC = 4
-_TAG_DEFECT = 5
-_TAG_RAMP_NOISE = 6
-# wafer-level streams sit beyond any die id
-_WAFER_STREAM_BASE = 1 << 40
-_TAG_RES = 0
+# stream spaces (base, stride), and name -> (base, stride, tag), a tag < stride
+_SPACES = _DIE, _WAFER, _DIE_NEW = (0, 8), (1 << 40, 0), (1 << 41, 256)
+_STREAMS = {
+    "thickness": (*_DIE, 0),
+    "dead": (*_DIE, 1),
+    "cap": (*_DIE, 2),
+    "iv": (*_DIE, 3),
+    "intrinsic": (*_DIE, 4),
+    "defect": (*_DIE, 5),
+    "ramp_noise": (*_DIE, 6),
+    "res": (*_WAFER, 0),
+    "bimodal": (*_WAFER, 7),
+}
 
 _POST_JUMP_GAIN = 1e4
 _POST_JUMP_FLOOR_A = 1e-6
@@ -132,15 +134,10 @@ def _reset(rng: np.random.Generator, seed: int, stream_id: int) -> np.random.Gen
     return rng
 
 
-def _stream(rng: np.random.Generator, seed: int, row: int, col: int,
-            tag: int) -> np.random.Generator:
-    # the 4096 stride is part of the determinism contract; WaferSpec keeps
-    # rows and cols within MAX_GRID = 4096, so no two dies share a key
-    return _reset(rng, seed, (row * 4096 + col) * 8 + tag)
-
-
-def _wafer_stream(rng: np.random.Generator, seed: int, tag: int) -> np.random.Generator:
-    return _reset(rng, seed, _WAFER_STREAM_BASE + tag)
+def _stream(rng: np.random.Generator, seed: int, name: str, row=0, col=0):
+    """rng at the start of stream name (of die (row, col), if per die)."""
+    base, stride, tag = _STREAMS[name]
+    return _reset(rng, seed, base + (row * MAX_GRID + col) * stride + tag)
 
 
 def intrinsic_breakdown_field_sample(rng: np.random.Generator, mean_mv_cm: float,
@@ -176,7 +173,7 @@ def bimodal_field_sample(n: int, defect_fraction: float, defect_mean: float,
         raise ValueError(f"n must be positive, got {n}")
     _check_seed(seed)
     n_def = int(round(defect_fraction * n))
-    rng = _wafer_stream(_new_rng(), seed, 7)
+    rng = _stream(_new_rng(), seed, "bimodal")
     fields = np.empty(n)
     if n_def:
         fields[:n_def] = intrinsic_breakdown_field_sample(
@@ -364,26 +361,26 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     probed_rows, probed_cols = (idx.tolist() for idx in np.nonzero(probed))
     for r, c in zip(probed_rows, probed_cols):
         # thickness: radial bow and per-die jitter
-        z = _stream(rng, seed, r, c, _TAG_THICKNESS).normal()
+        z = _stream(rng, seed, "thickness", r, c).normal()
         jitter = 1.0 + spec.thickness_jitter_pct / 100.0 * z
         t = spec.t_ox_nm * (1.0 + spec.thickness_gradient_pct / 100.0 * bow[r, c]) * jitter
         t = t_map[r, c] = float(max(t, 0.05 * spec.t_ox_nm))
-        dead[r, c] = _stream(rng, seed, r, c, _TAG_DEAD).uniform() < spec.dead_die_rate
+        dead[r, c] = _stream(rng, seed, "dead", r, c).uniform() < spec.dead_die_rate
         if dead[r, c]:
             continue
 
         # capacitance, one cell per probed area
         noise = _relative_noise(
-            _stream(rng, seed, r, c, _TAG_CAP), spec.cap_noise_pct, len(areas)
+            _stream(rng, seed, "cap", r, c), spec.cap_noise_pct, len(areas)
         )
         cap_values[:, r, c] = f_to_ff(eps_area / nm_to_m(t)) * noise
 
         # breakdown ramp: weakest link of intrinsic film and Poisson defects
         e_int = intrinsic_breakdown_field_sample(
-            _stream(rng, seed, r, c, _TAG_INTRINSIC),
+            _stream(rng, seed, "intrinsic", r, c),
             spec.intrinsic_field_mv_cm, spec.intrinsic_field_rsd_pct,
         )
-        defect_rng = _stream(rng, seed, r, c, _TAG_DEFECT)
+        defect_rng = _stream(rng, seed, "defect", r, c)
         n_def = int(defect_rng.poisson(spec.defect_density_cm2 * area_cm2))
         e_fail = e_int
         if n_def:
@@ -406,7 +403,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
             i = i.copy()
             i[jump_at:] = i[jump_at:] * _POST_JUMP_GAIN + _POST_JUMP_FLOOR_A
             v_bt_map[r, c] = v_ramp[jump_at]
-        i = i * _relative_noise(_stream(rng, seed, r, c, _TAG_RAMP_NOISE),
+        i = i * _relative_noise(_stream(rng, seed, "ramp_noise", r, c),
                                 spec.iv_noise_pct, n_steps)
         ramp.append(RampRecord(row=r, col=c, area_um2=spec.ramp_area_um2,
                                step_v=spec.ramp_step_v,
@@ -443,7 +440,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
             beta=spec.beta, m_rel=spec.m_rel, fn_scale=fn_scale,
         )
         i = composite_current(v_sweep, spec.iv_area_um2, die_model)
-        i = i * _relative_noise(_stream(rng, seed, r, c, _TAG_IV), spec.iv_noise_pct,
+        i = i * _relative_noise(_stream(rng, seed, "iv", r, c), spec.iv_noise_pct,
                                 v_sweep.size)
         iv.append(IVRecord(row=r, col=c, area_um2=spec.iv_area_um2,
                            v=sweep, i=array("d", i.tobytes())))
@@ -460,8 +457,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
              for w in spec.res_w_bot_series_um]
     geoms += [JunctionGeometry(w_top=w, w_bot=spec.res_w_bot_um, h=spec.res_h_um)
               for w in spec.res_w_top_series_um]
-    res_noise = _relative_noise(_wafer_stream(rng, seed, _TAG_RES), spec.res_noise_pct,
-                                len(geoms))
+    res_noise = _relative_noise(_stream(rng, seed, "res"), spec.res_noise_pct, len(geoms))
     res = [
         ResRecordRow(w_top_um=g.w_top, w_bot_um=g.w_bot, h_um=g.h,
                      r_mohm=junction_resistance(g, ra_true, ras_true) * nz)

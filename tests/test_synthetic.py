@@ -139,7 +139,7 @@ def _draws(rng):
 def test_reset_stream_draws_what_a_fresh_generator_draws():
     rng = synthetic._new_rng()
     keys = [(0, 0), (0, 1), (7, (3 * 4096 + 5) * 8 + 6),
-            (2**64 - 1, synthetic._WAFER_STREAM_BASE), (2**64 - 1, 2**64 - 1)]
+            (2**64 - 1, synthetic._STREAMS["res"][0]), (2**64 - 1, 2**64 - 1)]
     for seed, stream_id in keys:
         # leave the shared generator mid-buffer with a stale 32-bit half
         rng.integers(0, 1 << 40, size=2)
@@ -148,10 +148,55 @@ def test_reset_stream_draws_what_a_fresh_generator_draws():
         state = rng.bit_generator.state
         assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
         assert _draws(synthetic._reset(rng, seed, stream_id)) == _draws(_fresh(seed, stream_id))
-    assert (synthetic._stream(rng, 5, 3, 9, 2).normal()
+    assert (synthetic._stream(rng, 5, "cap", 3, 9).normal()
             == _fresh(5, (3 * 4096 + 9) * 8 + 2).normal())
-    assert (synthetic._wafer_stream(rng, 5, 0).uniform()
-            == _fresh(5, synthetic._WAFER_STREAM_BASE).uniform())
+    assert (synthetic._stream(rng, 5, "res").uniform()
+            == _fresh(5, synthetic._STREAMS["res"][0]).uniform())
+
+
+def test_no_two_streams_can_share_a_philox_key():
+    # by arithmetic over the bounds, not by listing dies.  In a space
+    # (base, stride) die d = row * MAX_GRID + col < MAX_GRID**2 and tag t give
+    # the id base + d * stride + t, one-to-one in (d, t) while 0 <= t < stride;
+    # a wafer stream (stride 0) has the id base + t.  The spaces' id ranges,
+    # each up to the last id it has room for, must not overlap, and every id
+    # must fit the 64-bit key word.
+    assert synthetic.MAX_GRID == 4096
+    tags = {space: [] for space in synthetic._SPACES}
+    for name, (base, stride, tag) in synthetic._STREAMS.items():
+        assert (base, stride) in tags, name
+        assert type(tag) is int and tag >= 0, name
+        tags[base, stride].append(tag)
+    spans = []
+    for (base, stride), used in tags.items():
+        assert len(set(used)) == len(used), (base, stride)
+        if stride:
+            assert max(used, default=0) < stride, (base, stride)
+            spans.append((base, base + synthetic.MAX_GRID**2 * stride - 1))
+        else:
+            spans.append((base, base + max(used)))
+    spans.sort()
+    assert spans[0][0] >= 0 and spans[-1][1] < 2**64
+    for (_, last), (first, _) in zip(spans, spans[1:]):
+        assert last < first
+
+
+@pytest.mark.parametrize("name, row, col, stream_id", [
+    ("thickness", 0, 0, 0),
+    ("dead", 0, 1, 8 + 1),
+    ("cap", 3, 9, (3 * 4096 + 9) * 8 + 2),
+    ("iv", 6, 7, (6 * 4096 + 7) * 8 + 3),
+    ("intrinsic", 13, 0, (13 * 4096) * 8 + 4),
+    ("defect", 55, 54, (55 * 4096 + 54) * 8 + 5),
+    ("ramp_noise", 4095, 4095, (4095 * 4096 + 4095) * 8 + 6),
+    ("res", 0, 0, 2**40),
+    ("bimodal", 0, 0, 2**40 + 7),
+])
+def test_streams_keep_their_keys(name, row, col, stream_id):
+    # (row * 4096 + col) * 8 + tag per die and 2**40 + tag per wafer: the keys
+    # every generated dataset was drawn with
+    rng = synthetic._stream(synthetic._new_rng(), 2**64 - 1, name, row, col)
+    assert rng.bit_generator.state["state"]["key"].tolist() == [2**64 - 1, stream_id]
 
 
 def test_views_are_built_on_first_use_and_once(tmp_path, monkeypatch):
