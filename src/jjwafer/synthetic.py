@@ -249,6 +249,11 @@ class WaferSpec:
         check_finite_fields(self)
         if not (1 <= self.rows <= MAX_GRID and 1 <= self.cols <= MAX_GRID):
             raise ValueError(f"rows and cols must lie in 1..{MAX_GRID}")
+        # generate_wafer's mask rule at the die nearest the centre, which lies
+        # 0, 0.5 or sqrt(0.5) from it by the parity of rows and cols
+        nearest2 = 0.25 * ((self.rows % 2 == 0) + (self.cols % 2 == 0))
+        if abs(self.mask_radius) < 1.0 and not nearest2 <= self.mask_radius**2 + 1e-9:
+            raise ValueError("mask radius leaves no probed dies")
         if len(set(self.cap_areas_um2)) != len(self.cap_areas_um2):
             raise ValueError(f"cap_areas_um2 repeats an area: {self.cap_areas_um2}")
         if not (self.t_ox_nm > 0.0 and self.k_per_nm > 0.0):
@@ -338,8 +343,6 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     dist2 = (rr - r0) ** 2 + (cc - c0) ** 2
     probed = dist2 <= spec.mask_radius**2 + 1e-9
-    if not probed.any():
-        raise ValueError("mask radius leaves no probed dies")
     r2norm = dist2 / max(spec.mask_radius**2, 1.0)
     bow = r2norm - r2norm[probed].mean()
 

@@ -563,6 +563,13 @@ def test_cli_simulate_refuses_a_number_that_is_not_finite(tmp_path, capsys, over
     assert os.listdir(tmp_path) == []
 
 
+def test_cli_simulate_refuses_a_mask_that_probes_no_die(tmp_path, capsys):
+    out = tmp_path / "y.jjw"
+    assert run_cli("simulate", "--out", str(out), "--set", "mask_radius=0.1") == EXIT_INVALID
+    assert capsys.readouterr() == ("", "jjwafer: error: mask radius leaves no probed dies\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_simulate_overrides(tmp_path, capsys):
     out = str(tmp_path / "thin.json")
     code = run_cli("simulate", "--out", out, "--set", "t_ox_nm=3.5",

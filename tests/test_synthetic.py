@@ -382,6 +382,26 @@ def test_a_mask_radius_of_rows_plus_cols_probes_every_die():
     assert np.all(truth["probed_map"])
 
 
+@pytest.mark.parametrize("rows, cols, nearest", [(3, 5, 0.0), (4, 5, 0.5), (5, 4, 0.5),
+                                                 (4, 6, math.sqrt(0.5))])
+def test_spec_refuses_a_mask_exactly_when_it_probes_no_die(rows, cols, nearest):
+    # the die nearest the centre lies 0, 0.5 or sqrt(0.5) from it by the
+    # parity of rows and cols; the oracle is generate_wafer's own mask rule
+    rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    dist2 = (rr - (rows - 1) / 2.0) ** 2 + (cc - (cols - 1) / 2.0) ** 2
+    refused = []
+    for radius in (nearest - 1e-6, nearest - 1e-10, nearest, nearest + 1e-6, -nearest, 0.0):
+        if (dist2 <= radius**2 + 1e-9).any():
+            truth = generate_wafer(WaferSpec(rows=rows, cols=cols, mask_radius=radius)).ground_truth
+            assert np.any(truth["probed_map"])
+        else:
+            with pytest.raises(ValueError, match="^mask radius leaves no probed dies$"):
+                WaferSpec(rows=rows, cols=cols, mask_radius=radius)
+            refused.append(radius)
+    # inside the rule's 1e-9 tolerance a radius still probes
+    assert refused == ([nearest - 1e-6, 0.0] if nearest else [])
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         WaferSpec(rows=0)
@@ -403,6 +423,8 @@ def test_spec_validation():
         WaferSpec(defect_density_cm2=-1.0)
     with pytest.raises(ValueError):
         generate_wafer(WaferSpec(mask_radius=0.1))
+    with pytest.raises(ValueError, match="^mask radius leaves no probed dies$"):
+        WaferSpec(mask_radius=0.1)
     for seed in (-1, 2**64, 1.0, True, np.int64(3), "3"):
         with pytest.raises(ValueError, match=r"seed must be an integer in 0\.\.2\*\*64-1"):
             WaferSpec(seed=seed)
