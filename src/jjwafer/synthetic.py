@@ -134,7 +134,7 @@ def _reset(rng: np.random.Generator, seed: int, stream_id: int) -> np.random.Gen
     return rng
 
 
-def _stream(rng: np.random.Generator, seed: int, name: str, row=0, col=0):
+def _stream(rng: np.random.Generator, seed: int, name: str, row: int = 0, col: int = 0):
     """rng at the start of stream name (of die (row, col), if per die)."""
     base, stride, tag = _STREAMS[name]
     return _reset(rng, seed, base + (row * MAX_GRID + col) * stride + tag)

@@ -101,7 +101,7 @@ def pinned():
         return json.load(table)
 
 
-def _check(fmt):
+def _skip_json_off_its_numpy(fmt):
     if fmt == "json" and np.__version__ != pinned()["numpy"]:
         pytest.skip(f"render_json writes full-repr floats; its digests were recorded "
                     f"under numpy {pinned()['numpy']}, not {np.__version__}")
@@ -115,7 +115,7 @@ def preset_reports(preset_corpus):
 
 @pytest.mark.parametrize("fmt", sorted(RENDERS))
 def test_preset_reports_render_as_before(preset_reports, fmt):
-    _check(fmt)
+    _skip_json_off_its_numpy(fmt)
     preset, reports = preset_reports
     want = pinned()[fmt][preset]
     for run, digests in render_digests(reports, fmt).items():
@@ -130,7 +130,7 @@ def wafer56_reports():
 
 @pytest.mark.parametrize("fmt", sorted(RENDERS))
 def test_large_wafer_reports_render_as_before(wafer56_reports, fmt):
-    _check(fmt)
+    _skip_json_off_its_numpy(fmt)
     assert render_digests(wafer56_reports, fmt) == pinned()[fmt]["wafer56"]
 
 
