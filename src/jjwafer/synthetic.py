@@ -252,7 +252,8 @@ class WaferSpec:
         # generate_wafer's mask rule at the die nearest the centre, which lies
         # 0, 0.5 or sqrt(0.5) from it by the parity of rows and cols
         nearest2 = 0.25 * ((self.rows % 2 == 0) + (self.cols % 2 == 0))
-        if abs(self.mask_radius) < 1.0 and not nearest2 <= self.mask_radius**2 + 1e-9:
+        r = self.mask_radius
+        if abs(r) < 1.0 and not nearest2 <= r * r + 1e-9:
             raise ValueError("mask radius leaves no probed dies")
         if len(set(self.cap_areas_um2)) != len(self.cap_areas_um2):
             raise ValueError(f"cap_areas_um2 repeats an area: {self.cap_areas_um2}")
@@ -342,8 +343,9 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     r0, c0 = (rows - 1) / 2.0, (cols - 1) / 2.0
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     dist2 = (rr - r0) ** 2 + (cc - c0) ** 2
-    probed = dist2 <= spec.mask_radius**2 + 1e-9
-    r2norm = dist2 / max(spec.mask_radius**2, 1.0)
+    radius2 = spec.mask_radius * spec.mask_radius  # inf, not OverflowError, past 1e154
+    probed = dist2 <= radius2 + 1e-9
+    r2norm = dist2 / max(radius2, 1.0)
     bow = r2norm - r2norm[probed].mean()
 
     areas = tuple(float(a) for a in spec.cap_areas_um2)

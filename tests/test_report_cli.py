@@ -570,6 +570,14 @@ def test_cli_simulate_refuses_a_mask_that_probes_no_die(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_cli_simulate_takes_a_mask_radius_whose_square_overflows(tmp_path, capsys):
+    out = str(tmp_path / "y.jjw")
+    assert run_cli("simulate", "--out", out, "--set", "mask_radius=1e200",
+                   "--set", "rows=4", "--set", "cols=5") == EXIT_OK
+    assert "20 probed dies" in capsys.readouterr().out
+    assert np.all(json.loads(load_dataset(out).meta["ground_truth"])["probed_map"])
+
+
 def test_cli_simulate_overrides(tmp_path, capsys):
     out = str(tmp_path / "thin.json")
     code = run_cli("simulate", "--out", out, "--set", "t_ox_nm=3.5",

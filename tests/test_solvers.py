@@ -1,7 +1,7 @@
 """The numpy-only solvers: k against a bisection oracle, RA/RA_S on a wafer
 whose sidewall sits near the edge of its range, floating-point faults as
 analysis errors, and a CLI import that loads nothing beyond numpy and the
-standard library."""
+standard library and starts no OpenBLAS worker thread."""
 
 import math
 import os
@@ -102,6 +102,22 @@ def test_cli_import_loads_only_numpy_and_the_standard_library():
             "extra -= set(sys.stdlib_module_names) | {'numpy', 'jjwafer'}; "
             "assert not extra, sorted(extra)")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_starts_no_blas_worker_thread():
+    # starting an OpenBLAS worker pool costs every short CLI process CPU; no stage needs it
+    code = ("import os, jjwafer.cli; tasks = len(os.listdir('/proc/self/task')); "
+            "assert tasks == 1, tasks")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": str(SRC)},
+                   check=True)
+
+
+def test_a_blas_thread_count_the_user_set_wins():
+    code = "import os, jjwafer.cli; assert os.environ['OPENBLAS_NUM_THREADS'] == '2'"
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "2"}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

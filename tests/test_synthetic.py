@@ -382,6 +382,16 @@ def test_a_mask_radius_of_rows_plus_cols_probes_every_die():
     assert np.all(truth["probed_map"])
 
 
+@pytest.mark.parametrize("radius", [1e200, -1e200])
+def test_a_mask_radius_whose_square_overflows_probes_every_die_with_no_bow(radius):
+    # radius**2 raises OverflowError; the generator's square is inf instead,
+    # the large-radius limit, where the normalised bow is zero everywhere
+    spec = WaferSpec(rows=4, cols=3, mask_radius=radius, thickness_jitter_pct=0.0)
+    truth = generate_wafer(spec).ground_truth
+    assert np.all(truth["probed_map"])
+    assert truth["t_ox_map_nm"] == [[spec.t_ox_nm] * 3] * 4
+
+
 @pytest.mark.parametrize("rows, cols, nearest", [(3, 5, 0.0), (4, 5, 0.5), (5, 4, 0.5),
                                                  (4, 6, math.sqrt(0.5))])
 def test_spec_refuses_a_mask_exactly_when_it_probes_no_die(rows, cols, nearest):
