@@ -1,25 +1,53 @@
-"""The rule the parameter dataclasses (AnalysisConfig, WaferSpec) hold
-their numeric fields to."""
+"""The one reader of AnalysisConfig's and WaferSpec's field annotations (the
+strings `from __future__ import annotations` leaves), and their fields' rules."""
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import fields
+import re
+import sys
+from dataclasses import Field, fields
+from numbers import Integral, Real
+
+_ANNOTATION = re.compile(r"(tuple\[)?(int|float|str)(?(1), \.\.\.\])( \| None)?")
+# kind: (its parser, the test of one value, what a field and a tuple must hold);
+# a finite number lies in the float range, so an int beyond it fails too
+_KINDS = {
+    "int": (int, lambda v: isinstance(v, Integral), "be an integer", "hold integers"),
+    "float": (float, lambda v: isinstance(v, Real) and abs(v) <= sys.float_info.max,
+              "be a finite number", "hold finite numbers"),
+    "str": (str, None, None, None),
+}
 
 
-def check_finite_fields(obj) -> None:
-    """ValueError naming the first float field of the dataclass obj that is
-    not a finite real number; a bool is not one.  None passes where the
-    field's annotation allows it, and a tuple field is held to the rule
-    element by element.  The annotations are read as the strings that
-    `from __future__ import annotations` leaves."""
+def field_kind(f: Field) -> tuple[str, bool, bool]:
+    """(kind, optional, many) of field f: kind "int", "float" or "str", and
+    whether f may be None and whether it is a tuple of kind."""
+    m = _ANNOTATION.fullmatch(f.type)
+    if m is None:
+        raise TypeError(f"field {f.name} has an unsupported annotation {f.type!r}")
+    return m[2], m[3] is not None, m[1] is not None
+
+
+def check_fields(obj) -> None:
+    """ValueError naming the first field of the dataclass obj whose value, or
+    a tuple element of it, fails its kind's test; a bool fails both tests.
+    None passes where the field is optional; a str field is not checked."""
     for f in fields(obj):
+        kind, optional, many = field_kind(f)
+        _, test, one, each = _KINDS[kind]
         x = getattr(obj, f.name)
-        if "float" not in f.type or x is None and "None" in f.type:
+        if test is None or x is None and optional:
             continue
-        many = f.type.startswith("tuple")
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   and math.isfinite(v) for v in (x if many else (x,))):
-            what = "hold finite numbers" if many else "be a finite number"
-            raise ValueError(f"{f.name} must {what}, got {x!r}")
+        if not all(test(v) and not isinstance(v, bool) for v in (x if many else (x,))):
+            raise ValueError(f"{f.name} must {each if many else one}, got {x!r}")
+
+
+def parse_field(f: Field, text: str):
+    """The value text gives field f: None for "none" or "null" (any case) if
+    f is optional, comma-separated values if f is a tuple.  ValueError if
+    text does not parse as f's kind."""
+    kind, optional, many = field_kind(f)
+    parse, text = _KINDS[kind][0], text.strip()
+    if optional and text.lower() in ("none", "null"):
+        return None
+    return tuple(parse(tok) for tok in text.split(",") if tok) if many else parse(text)

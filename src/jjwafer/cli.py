@@ -23,6 +23,7 @@ import os
 import sys
 
 from . import __version__
+from ._fields import parse_field
 from .dataset import atomic_write_text, cap_maps, load_dataset, save_dataset
 from .errors import DatasetError
 from .report import (STAGES, AnalysisConfig, _area_text, analyze, export_wafer_grid,
@@ -58,9 +59,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                        help="relative effective carrier mass")
     group.add_argument("--slope-tol", type=float, dest="slope_tol",
                        help="ohmic-window slope tolerance")
-    group.add_argument("--fn-r2-min", type=float, dest="fn_r2_min",
-                       help="minimum r2 for the field-emission window (moves "
-                            "only that window, which no report field reads yet)")
     group.add_argument("--jump-factor", type=float, dest="jump_factor",
                        help="breakdown jump factor")
     group.add_argument("--jump-floor", type=float, dest="jump_floor_a",
@@ -78,20 +76,6 @@ def _config_from_args(args) -> AnalysisConfig:
         if value is not None:
             base[field.name] = value
     return AnalysisConfig.from_mapping(base)
-
-
-def _coerce_field(field: dataclasses.Field, raw: str):
-    text = raw.strip()
-    hint = str(field.type)
-    if "tuple" in hint:
-        return tuple(float(tok) for tok in text.split(",") if tok)
-    if "None" in hint and text.lower() in ("none", "null"):
-        return None
-    if hint.startswith("int"):
-        return int(text)
-    if hint.startswith("str"):
-        return text
-    return float(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,33 +125,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     try:
-        if args.preset:
-            spec = preset_spec(args.preset, seed=args.seed)
-        else:
-            spec = WaferSpec(seed=args.seed)
-        if args.overrides:
-            fields = {f.name: f for f in dataclasses.fields(WaferSpec)}
-            updates = {}
-            for item in args.overrides:
-                key, sep, value = item.partition("=")
-                if not sep or key not in fields:
-                    print(f"jjwafer: error: unknown or malformed override {item!r}",
-                          file=sys.stderr)
-                    return EXIT_INVALID
-                try:
-                    updates[key] = _coerce_field(fields[key], value)
-                except ValueError:
-                    print(f"jjwafer: error: bad value in override {item!r}",
-                          file=sys.stderr)
-                    return EXIT_INVALID
-            spec = dataclasses.replace(spec, **updates)
+        fields = {f.name: f for f in dataclasses.fields(WaferSpec)}
+        given = {"seed": args.seed}
+        for item in args.overrides:
+            key, sep, value = item.partition("=")
+            if not sep or key not in fields:
+                raise ValueError(f"unknown or malformed override {item!r}")
+            try:
+                given[key] = parse_field(fields[key], value)
+            except ValueError:
+                raise ValueError(f"bad value in override {item!r}") from None
+        spec = preset_spec(args.preset, **given) if args.preset else WaferSpec(**given)
         result = generate_wafer(spec)
         save_dataset(result.dataset, args.out, fmt=args.format)
     except (KeyError, ValueError, DatasetError) as exc:  # save_dataset refuses up front
         print(f"jjwafer: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
-        print(f"jjwafer: error: cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"jjwafer: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
     n_dies = int(sum(sum(row) for row in result.ground_truth["probed_map"]))
     print(f"wrote {args.out}: wafer {spec.label!r}, seed {spec.seed}, "
@@ -215,7 +190,7 @@ def _analyze_one(path: str, config: AnalysisConfig, stages, fmt: str,
                     )
                     export_wafer_grid(wmap, grid_path)
         except OSError as exc:
-            print(f"jjwafer: error: cannot write under {out_dir}: {exc}",
+            print(f"jjwafer: error: cannot write under {out_dir}: {exc.strerror}",
                   file=sys.stderr)
             return EXIT_IO
     return EXIT_ANALYSIS if report.stage_errors else EXIT_OK
@@ -240,7 +215,7 @@ def _cmd_analyze(args, stages, with_grids: bool) -> int:
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
-            print(f"jjwafer: error: cannot create {args.out}: {exc}",
+            print(f"jjwafer: error: cannot create {args.out}: {exc.strerror}",
                   file=sys.stderr)
             return EXIT_IO
     return max(_analyze_one(path, config, stages, args.format, args.out,

@@ -247,7 +247,7 @@ def segment_regimes(iv, slope_tol: float = 0.1, fn_r2_min: float = 0.995,
 def fit_k_from_dt(iv, t_ox_nm: float, area_um2: float | None = None,
                   beta: float = DEFAULT_BETA,
                   segmentation: RegimeSegmentation | None = None,
-                  slope_tol: float = 0.1, fn_r2_min: float = 0.995) -> float:
+                  slope_tol: float = 0.1) -> float:
     """Tunneling decay constant k [1/nm] from the ohmic window of a sweep.
 
     Fits the through-origin conductance G over the ohmic window, then solves
@@ -270,7 +270,7 @@ def fit_k_from_dt(iv, t_ox_nm: float, area_um2: float | None = None,
     if area_um2 is None:
         raise ValueError("junction area is required (argument or iv.area_um2)")
     if segmentation is None:
-        segmentation = segment_regimes(iv, slope_tol=slope_tol, fn_r2_min=fn_r2_min)
+        segmentation = segment_regimes(iv, slope_tol=slope_tol)
     if segmentation.dt_slice is None:
         raise NoDTWindowError("segmentation has no ohmic window")
     v = segmentation.v[segmentation.dt_slice]

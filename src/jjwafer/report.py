@@ -42,7 +42,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._fields import check_finite_fields
+from ._fields import check_fields
 from .breakdown import (
     DEFAULT_JUMP_FACTOR,
     DEFAULT_JUMP_FLOOR_A,
@@ -104,21 +104,18 @@ class AnalysisConfig:
     beta: float = DEFAULT_BETA
     m_rel: float = DEFAULT_M_REL
     slope_tol: float = 0.1
-    fn_r2_min: float = 0.995
     jump_factor: float = DEFAULT_JUMP_FACTOR
     jump_floor_a: float = DEFAULT_JUMP_FLOOR_A
     t_ox_nm: float | None = None  # overrides the cap stage's thickness everywhere
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if not (self.eps_r > 0.0):
             raise ValueError(f"eps_r must be positive, got {self.eps_r}")
         if not (self.beta > 0.0) or not (self.m_rel > 0.0):
             raise ValueError("beta and m_rel must be positive")
         if not (0.0 < self.slope_tol < 1.0):
             raise ValueError(f"slope_tol must lie in (0, 1), got {self.slope_tol}")
-        if not (0.0 < self.fn_r2_min <= 1.0):
-            raise ValueError(f"fn_r2_min must lie in (0, 1], got {self.fn_r2_min}")
         if not (self.jump_factor > 1.0):
             raise ValueError(f"jump_factor must exceed 1, got {self.jump_factor}")
         if not (self.jump_floor_a > 0.0):
@@ -306,10 +303,8 @@ def _stage_iv(ds, config, out, notes) -> None:
     ks = []
     for cur in curves:
         try:
-            ks.append(fit_k_from_dt(
-                cur, t_ox_nm=t_ox, beta=config.beta,
-                slope_tol=config.slope_tol, fn_r2_min=config.fn_r2_min,
-            ))
+            ks.append(fit_k_from_dt(cur, t_ox_nm=t_ox, beta=config.beta,
+                                    slope_tol=config.slope_tol))
         except (AnalysisError, ValueError) as exc:
             notes.append(f"iv: die {cur.die} not fit "
                          f"({type(exc).__name__}: {exc})")

@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._fields import check_finite_fields
+from ._fields import check_fields
 from .breakdown import DEFAULT_RAMP_RATE_V_PER_S, DEFAULT_RAMP_STEP_V
 from .capacitance import EPS_R_REFERENCE, WaferMap
 from .constants import CONST, nm_to_m, um2_to_cm2, um2_to_m2, f_to_ff
@@ -246,7 +246,7 @@ class WaferSpec:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        check_finite_fields(self)
+        check_fields(self)
         if not (1 <= self.rows <= MAX_GRID and 1 <= self.cols <= MAX_GRID):
             raise ValueError(f"rows and cols must lie in 1..{MAX_GRID}")
         # generate_wafer's mask rule at the die nearest the centre, which lies
@@ -495,7 +495,7 @@ def generate_wafer(spec: WaferSpec) -> SyntheticDataset:
     meta = {
         "generator": "jjwafer-synthetic",
         "seed": str(spec.seed),
-        "ground_truth": json.dumps(ground_truth, sort_keys=True),
+        "ground_truth": json.dumps(ground_truth, sort_keys=True, default=lambda x: x.item()),
     }
     dataset = DatasetFile(wafer=wafer, meta=meta, cap=cap, iv=iv, res=res, ramp=ramp)
     return SyntheticDataset(spec=spec, ground_truth=ground_truth, dataset=dataset)

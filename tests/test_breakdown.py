@@ -304,7 +304,8 @@ def weibull_plots(draw):
     kind = draw(st.sampled_from(["mixture", "repeat", "integers", "mirror"]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    scale = draw(st.sampled_from([1.0, 2.5, 1e-6, 3e-3, 7e4, 1e12]))
+    # 1e130 and 1e-130 lie outside 2**-400 .. 2**400, where every split is scanned
+    scale = draw(st.sampled_from([1.0, 2.5, 1e-6, 3e-3, 7e4, 1e12, 1e130, 1e-130]))
     if kind == "mirror":
         half = rng.standard_normal((n + 1) // 2).cumsum()
         return WeibullAnalysis(e=scale * np.linspace(1.0, 2.0, n),

@@ -137,13 +137,14 @@ def test_load_dataset_reads_empty_files_and_pipes(tmp_path):
         load_dataset(str(path))
     if not os.path.isdir("/dev/fd"):
         pytest.skip("no /dev/fd to name a pipe by")
-    read_end, write_end = os.pipe()
-    try:
-        os.write(write_end, dumps_text(sample_dataset()).encode())
-        os.close(write_end)
-        assert load_dataset(f"/dev/fd/{read_end}") == sample_dataset()
-    finally:
-        os.close(read_end)
+    for dumps in (dumps_text, dumps_json):  # a pipe cannot be mapped; JSON reads it whole
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, dumps(sample_dataset()).encode())
+            os.close(write_end)
+            assert load_dataset(f"/dev/fd/{read_end}") == sample_dataset()
+        finally:
+            os.close(read_end)
 
 
 @pytest.mark.parametrize("dumps", [dumps_text, dumps_json])
@@ -429,6 +430,41 @@ def test_json_validation():
     for rows in ("abc", "0"):
         with pytest.raises(DatasetSchemaError, match="wafer: rows"):
             loads_json(_payload(wafer={"rows": rows, "cols": "3"}))
+
+
+@pytest.mark.parametrize("loads, text, error, line, message", [
+    (loads_text, HEADER + "iv 0 0 25.0\n", DatasetFormatError, 3, "iv record too short"),
+    (loads_text, HEADER + "ramp 0 0 25.0 0.01 0.07\n", DatasetFormatError, 3,
+     "ramp record too short"),
+    (loads_text, HEADER + HEADER.splitlines()[1] + "\n", DatasetFormatError, 3,
+     "duplicate units line"),
+    (loads_text, HEADER.replace("c=fF", "c"), DatasetFormatError, 2, "malformed unit 'c'"),
+    (loads_text, HEADER + "wafer rows=3\nwafer cols=3\n", DatasetFormatError, 4,
+     "duplicate wafer line"),
+    (loads_text, HEADER + "wafer rows=3 cols\n", DatasetFormatError, 3,
+     "malformed wafer attribute 'cols'"),
+    (loads_text, HEADER + "wafer =3\n", DatasetFormatError, 3,
+     "malformed wafer attribute '=3'"),
+    (loads_text, HEADER + "meta note\n", DatasetFormatError, 3, "malformed meta line 'note'"),
+    (loads_json, _payload(version=2), DatasetFormatError, None,
+     "unsupported format version 2"),
+    (loads_json, _payload(version="1"), DatasetFormatError, None,
+     "unsupported format version '1'"),
+    (loads_json, _payload(cap={}), DatasetFormatError, None,
+     "'cap' must be a list of records"),
+    (loads_json, _payload(res=[[5.0, 10.0, 0.12, 218.7]]), DatasetFormatError, None,
+     "res record 0: must be an object"),
+    (loads_json, _payload(wafer={"rows": 3}), DatasetSchemaError, None,
+     "'wafer' must map strings to strings"),
+    (loads_json, _payload(meta=["note"]), DatasetSchemaError, None,
+     "'meta' must map strings to strings"),
+])
+def test_readers_name_the_class_place_and_message_of_a_malformed_container(
+        loads, text, error, line, message):
+    with pytest.raises(error) as refused:
+        loads(text)
+    assert type(refused.value) is error
+    assert (refused.value.line, refused.value.bare_message) == (line, message)
 
 
 # --- materializers ---

@@ -1,6 +1,7 @@
 """Pipeline report assembly, grid export, and the command-line interface."""
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from jjwafer.breakdown import detect_breakdown
 from jjwafer.capacitance import WaferMap
 from jjwafer.cli import EXIT_ANALYSIS, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from jjwafer.dataset import dumps_text, load_dataset, loads_text, ramp_traces, save_dataset
-from jjwafer.errors import DatasetSchemaError, NoBreakdownError
+from jjwafer.errors import DatasetFormatError, DatasetSchemaError, NoBreakdownError
 from jjwafer.report import (
     STAGES,
     AnalysisConfig,
@@ -45,8 +46,6 @@ def test_config_validation():
         AnalysisConfig(eps_r=0.0)
     with pytest.raises(ValueError):
         AnalysisConfig(slope_tol=1.5)
-    with pytest.raises(ValueError):
-        AnalysisConfig(fn_r2_min=0.0)
     with pytest.raises(ValueError):
         AnalysisConfig(jump_factor=1.0)
     with pytest.raises(ValueError):
@@ -437,6 +436,39 @@ def test_load_wafer_grid_refuses_a_bad_sidecar_value(tmp_path, line):
         load_wafer_grid(path)
 
 
+def _drop(key):
+    return lambda lines: [x for x in lines if not x.startswith(key + "=")]
+
+
+@pytest.mark.parametrize("sidecar, grid, error, line, message", [
+    (lambda m: m + ["junk"], None, DatasetFormatError, 8, "malformed sidecar line 'junk'"),
+    (_drop("area_um2"), None, DatasetSchemaError, None, "grid sidecar is missing 'area_um2'"),
+    (_drop("rows"), None, DatasetSchemaError, None, "grid sidecar is missing 'rows'"),
+    (_drop("cols"), None, DatasetSchemaError, None, "grid sidecar is missing 'cols'"),
+    (lambda m: m + ["rows=two"], None, DatasetSchemaError, None,
+     "grid sidecar has non-numeric shape or area"),
+    (lambda m: m + ["area_um2=big"], None, DatasetSchemaError, None,
+     "grid sidecar has non-numeric shape or area"),
+    (lambda m: m + ["rows=3"], None, DatasetSchemaError, None,
+     "grid has 2 rows, sidecar says 3"),
+    (lambda m: m + ["cols=4"], None, DatasetFormatError, 1,
+     "row has 3 cells, sidecar says 4"),
+    (None, lambda g: [g[0], "1,,x"], DatasetFormatError, 2, "bad grid cell 'x'"),
+], ids=["sidecar-line", "no-area", "no-rows", "no-cols", "rows-text", "area-text",
+        "row-count", "cell-count", "bad-cell"])
+def test_load_wafer_grid_names_what_is_wrong(tmp_path, sidecar, grid, error, line, message):
+    path = tmp_path / "grid.csv"
+    export_wafer_grid(WaferMap(values=np.ones((2, 3)), probed=np.ones((2, 3), bool),
+                               area_um2=25.0), str(path))
+    for edit, target in ((sidecar, tmp_path / "grid.csv.meta"), (grid, path)):
+        if edit is not None:
+            target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
+    with pytest.raises(error) as refused:
+        load_wafer_grid(str(path))
+    assert type(refused.value) is error
+    assert (refused.value.line, refused.value.bare_message) == (line, message)
+
+
 # --- CLI ---
 
 
@@ -510,6 +542,8 @@ def test_cli_invalid_inputs(tmp_path, capsys):
     (None, ["--t-ox", "inf"], "t_ox_nm must be a finite number, got inf"),
     (None, ["--eps-r", "inf"], "eps_r must be a finite number, got inf"),
     (None, ["--jump-floor", "nan"], "jump_floor_a must be a finite number, got nan"),
+    pytest.param('{"eps_r": 1%s}' % ("0" * 400), [],
+                 f"eps_r must be a finite number, got {10**400}", id="int-past-float-range"),
 ])
 def test_cli_refuses_a_config_value_that_is_not_a_finite_number(tmp_path, capsys, config,
                                                                  flags, message):
@@ -590,6 +624,65 @@ def test_cli_simulate_overrides(tmp_path, capsys):
     assert run_cli("simulate", "--out", out, "--set", "bogus=1") == EXIT_INVALID
     assert run_cli("simulate", "--out", out, "--set", "t_ox_nm=abc") == EXIT_INVALID
     capsys.readouterr()
+
+
+def test_cli_simulate_parses_str_and_none_overrides(tmp_path, capsys):
+    out = str(tmp_path / "w.jjw")
+    assert run_cli("simulate", "--out", out, "--set", "rows=5", "--set", "cols=5",
+                   "--set", "label=x", "--set", "fn_crossover_v=none") == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"wrote {out}: wafer 'x', seed 0,")
+    ds = load_dataset(out)
+    assert ds.wafer["label"] == "x"
+    truth = json.loads(ds.meta["ground_truth"])
+    assert truth["spec"]["fn_crossover_v"] is None and truth["fn_scale"] == 0.0
+
+
+@pytest.mark.parametrize("override", ["rows=5.5", "n_iv_dies=true", "iv_points=3e1"])
+def test_cli_simulate_refuses_an_int_override_that_is_not_an_integer(tmp_path, capsys,
+                                                                     override):
+    out = tmp_path / "w.jjw"
+    assert run_cli("simulate", "--out", str(out), "--set", override) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"jjwafer: error: bad value in override "
+                                       f"{override!r}\n")
+    assert not out.exists()
+
+
+def test_cli_simulate_into_a_missing_directory_names_the_path(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "w.jjw")
+    assert run_cli("simulate", "--out", out) == EXIT_IO
+    assert capsys.readouterr() == (
+        "", f"jjwafer: error: cannot write {out}: {os.strerror(errno.ENOENT)}\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", [("analyze", "all"), ("report",)])
+def test_cli_out_naming_a_file_or_a_report_naming_a_directory_is_exit_3(tmp_path, capsys,
+                                                                        command):
+    data = str(tmp_path / "w.jjw")
+    save_dataset(generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset, data)
+    assert run_cli(*command, data, "--out", data) == EXIT_IO
+    assert capsys.readouterr() == (
+        "", f"jjwafer: error: cannot create {data}: {os.strerror(errno.EEXIST)}\n")
+    # a directory where the report goes: the report is printed, then refused
+    out = tmp_path / "out"
+    (out / "w.report.txt").mkdir(parents=True)
+    assert run_cli(*command, data, "--out", str(out)) == EXIT_IO
+    printed, err = capsys.readouterr()
+    assert printed.startswith("wafer report: ")
+    assert err == f"jjwafer: error: cannot write under {out}: {os.strerror(errno.EISDIR)}\n"
+    assert os.listdir(out) == ["w.report.txt"]
+
+
+def test_cli_takes_no_fn_r2_min(tmp_path, capsys):
+    # it moved only the field-emission window, which no report field reads
+    out = str(tmp_path / "w.jjw")
+    save_dataset(generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset, out)
+    assert run_cli("analyze", "all", out, "--fn-r2-min", "0.5") == EXIT_INVALID
+    assert "unrecognized arguments: --fn-r2-min 0.5" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text('{"fn_r2_min": 0.5}')
+    assert run_cli("analyze", "all", out, "--config", str(tmp_path / "cfg.json")) \
+        == EXIT_INVALID
+    assert capsys.readouterr() == ("", "jjwafer: error: unknown config keys: fn_r2_min\n")
 
 
 def test_cli_multi_file_worst_code_wins(tmp_path, capsys):

@@ -376,6 +376,28 @@ def test_spec_refuses_a_float_that_is_not_finite(name, bad):
     assert str(refused.value) == f"{name} must {what}, got {value!r}"
 
 
+# rows, cols, n_iv_dies and iv_points; the seed has a stricter rule of its own
+_INT_FIELDS = [f.name for f in dataclasses.fields(WaferSpec) if f.type == "int"
+               and f.name != "seed"]
+
+
+@pytest.mark.parametrize("name", _INT_FIELDS)
+@pytest.mark.parametrize("bad", [5.5, 14.0, True])
+def test_spec_refuses_an_int_field_that_is_not_an_integer(name, bad):
+    # else a float count reaches generate_wafer, and True counts as 1
+    with pytest.raises(ValueError) as refused:
+        WaferSpec(**{name: bad})
+    assert str(refused.value) == f"{name} must be an integer, got {bad!r}"
+
+
+def test_spec_takes_numpy_integers_and_generates_what_python_ints_generate():
+    counts = dict(rows=5, cols=6, n_iv_dies=2, iv_points=30)
+    spec = WaferSpec(**{name: np.int64(n) for name, n in counts.items()})
+    assert spec == WaferSpec(**counts)
+    assert dumps_text(generate_wafer(spec).dataset) \
+        == dumps_text(generate_wafer(WaferSpec(**counts)).dataset)
+
+
 def test_a_mask_radius_of_rows_plus_cols_probes_every_die():
     # what mask_radius=inf did before the spec refused it
     truth = generate_wafer(WaferSpec(rows=4, cols=3, mask_radius=7.0)).ground_truth
