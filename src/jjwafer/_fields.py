@@ -28,18 +28,25 @@ def field_kind(f: Field) -> tuple[str, bool, bool]:
     return m[2], m[3] is not None, m[1] is not None
 
 
-def check_fields(obj) -> None:
+def check_fields(obj, ranges: dict[str, str]) -> None:
     """ValueError naming the first field of the dataclass obj whose value, or
-    a tuple element of it, fails its kind's test; a bool fails both tests.
+    a tuple element of it, fails its kind's test (a bool fails both tests) or
+    lies outside its interval in ranges, such as "(0, inf)" (else [-inf, inf]).
     None passes where the field is optional; a str field is not checked."""
     for f in fields(obj):
         kind, optional, many = field_kind(f)
         _, test, one, each = _KINDS[kind]
-        x = getattr(obj, f.name)
+        x, interval = getattr(obj, f.name), ranges.get(f.name, "[-inf, inf]")
         if test is None or x is None and optional:
             continue
-        if not all(test(v) and not isinstance(v, bool) for v in (x if many else (x,))):
+        values = x if many else (x,)
+        if not all(test(v) and not isinstance(v, bool) for v in values):
             raise ValueError(f"{f.name} must {each if many else one}, got {x!r}")
+        lo, hi = map(float, interval[1:-1].split(","))
+        if not all((lo < v if interval[0] == "(" else lo <= v)
+                   and (v < hi if interval[-1] == ")" else v <= hi) for v in values):
+            raise ValueError(f"{f.name} must {'hold values' if many else 'lie'} in "
+                             f"{interval}, got {x!r}")
 
 
 def parse_field(f: Field, text: str):

@@ -107,21 +107,12 @@ class AnalysisConfig:
     jump_factor: float = DEFAULT_JUMP_FACTOR
     jump_floor_a: float = DEFAULT_JUMP_FLOOR_A
     t_ox_nm: float | None = None  # overrides the cap stage's thickness everywhere
+    _RANGES = {  # field -> interval, for check_fields (no annotation: not a field)
+        **dict.fromkeys(("beta", "m_rel", "jump_floor_a", "t_ox_nm"), "(0, inf)"),
+        "eps_r": "[1, inf)", "slope_tol": "(0, 1)", "jump_factor": "(1, inf)"}
 
     def __post_init__(self):
-        check_fields(self)
-        if not (self.eps_r > 0.0):
-            raise ValueError(f"eps_r must be positive, got {self.eps_r}")
-        if not (self.beta > 0.0) or not (self.m_rel > 0.0):
-            raise ValueError("beta and m_rel must be positive")
-        if not (0.0 < self.slope_tol < 1.0):
-            raise ValueError(f"slope_tol must lie in (0, 1), got {self.slope_tol}")
-        if not (self.jump_factor > 1.0):
-            raise ValueError(f"jump_factor must exceed 1, got {self.jump_factor}")
-        if not (self.jump_floor_a > 0.0):
-            raise ValueError(f"jump_floor_a must be positive, got {self.jump_floor_a}")
-        if self.t_ox_nm is not None and not (self.t_ox_nm > 0.0):
-            raise ValueError(f"t_ox_nm must be positive, got {self.t_ox_nm}")
+        check_fields(self, self._RANGES)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "AnalysisConfig":

@@ -244,11 +244,22 @@ class WaferSpec:
     defect_field_mv_cm: float = 3.2
     defect_field_rsd_pct: float = 15.0
 
+    _RANGES = {  # field -> interval, for check_fields (no annotation: not a field)
+        **dict.fromkeys("t_ox_nm k_per_nm beta m_rel cap_areas_um2 iv_area_um2 iv_v_min "
+                        "fn_crossover_v res_h_um res_w_top_um res_w_bot_series_um "
+                        "res_w_bot_um res_w_top_series_um ra_mohm_um2 ra_s_mohm_um2 "
+                        "k_sidewall_per_nm ramp_area_um2 ramp_step_v ramp_rate_v_per_s "
+                        "intrinsic_field_mv_cm defect_field_mv_cm".split(), "(0, inf)"),
+        **dict.fromkeys("thickness_jitter_pct cap_noise_pct iv_noise_pct res_noise_pct "
+                        "n_iv_dies intrinsic_field_rsd_pct defect_density_cm2 "
+                        "defect_field_rsd_pct".split(), "[0, inf)"),
+        "rows": f"[1, {MAX_GRID}]", "cols": f"[1, {MAX_GRID}]", "eps_r": "[1, inf)",
+        "dead_die_rate": "[0, 1)", "iv_points": "[2, inf)",
+    }
+
     def __post_init__(self):
         _check_seed(self.seed)
-        check_fields(self)
-        if not (1 <= self.rows <= MAX_GRID and 1 <= self.cols <= MAX_GRID):
-            raise ValueError(f"rows and cols must lie in 1..{MAX_GRID}")
+        check_fields(self, self._RANGES)
         # generate_wafer's mask rule at the die nearest the centre, which lies
         # 0, 0.5 or sqrt(0.5) from it by the parity of rows and cols
         nearest2 = 0.25 * ((self.rows % 2 == 0) + (self.cols % 2 == 0))
@@ -257,19 +268,10 @@ class WaferSpec:
             raise ValueError("mask radius leaves no probed dies")
         if len(set(self.cap_areas_um2)) != len(self.cap_areas_um2):
             raise ValueError(f"cap_areas_um2 repeats an area: {self.cap_areas_um2}")
-        if not (self.t_ox_nm > 0.0 and self.k_per_nm > 0.0):
-            raise ValueError("t_ox and k must be positive")
-        if self.n_iv_dies < 0:
-            raise ValueError(f"n_iv_dies must be >= 0, got {self.n_iv_dies}")
-        if not (0.0 <= self.dead_die_rate < 1.0):
-            raise ValueError(f"dead_die_rate must lie in [0, 1), got {self.dead_die_rate}")
-        if self.thickness_jitter_pct < 0 or self.cap_noise_pct < 0 \
-                or self.iv_noise_pct < 0 or self.res_noise_pct < 0:
-            raise ValueError("noise percentages must be >= 0")
-        if not (self.ramp_v_max > self.ramp_step_v > 0.0):
-            raise ValueError("ramp needs 0 < step < v_max")
-        if self.defect_density_cm2 < 0.0:
-            raise ValueError("defect density must be >= 0")
+        for lo, hi in (("ramp_step_v", "ramp_v_max"), ("iv_v_min", "iv_v_max")):
+            a, b = getattr(self, lo), getattr(self, hi)
+            if not a < b:
+                raise ValueError(f"{lo} must be below {hi}, got {a!r} and {b!r}")
 
 
 # reference and etch-series presets: thickness, tunneling constant and mean

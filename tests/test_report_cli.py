@@ -54,6 +54,57 @@ def test_config_validation():
         AnalysisConfig(t_ox_nm=-4.4)
 
 
+# the fields each range table leaves out on purpose, and why
+_UNBOUNDED = {
+    AnalysisConfig: {},
+    WaferSpec: {
+        "label": "a free name",
+        "etch_s": "an etch time only labels the wafer; no rule reads it",
+        "seed": "_check_seed holds it to a Philox key word",
+        "mask_radius": "the spec's own rule refuses a mask that probes no die; a negative "
+                       "radius probes what its absolute value does, and tests use one",
+        "thickness_gradient_pct": "a negative gradient bows the film the other way; the "
+                                  "generator floors each die's thickness at 5 % of t_ox_nm",
+        "ramp_v_max": "bounded below by ramp_step_v, which the table bounds",
+        "iv_v_max": "bounded below by iv_v_min, which the table bounds",
+    },
+}
+
+
+@pytest.mark.parametrize("cls", [AnalysisConfig, WaferSpec], ids=lambda c: c.__name__)
+def test_every_field_is_in_its_range_table_or_left_out_on_purpose(cls):
+    names = {f.name for f in dataclasses.fields(cls)}
+    assert set(cls._RANGES) <= names, "a range names no field"
+    assert not set(cls._RANGES) & set(_UNBOUNDED[cls]), "a field is bounded and left out"
+    assert names == set(cls._RANGES) | set(_UNBOUNDED[cls])
+    assert all(_UNBOUNDED[cls].values())
+
+
+@pytest.mark.parametrize("cls", [AnalysisConfig, WaferSpec], ids=lambda c: c.__name__)
+def test_each_interval_takes_its_closed_ends_and_refuses_its_open_ends(cls):
+    # at each finite end: the end and the next value past it (the next float,
+    # or the next integer for an int field), one inside and one outside
+    for f in dataclasses.fields(cls):
+        interval = cls._RANGES.get(f.name)
+        if interval is None:
+            continue
+        whole = "int" in f.type
+        wrap = (lambda v: (v,)) if f.type.startswith("tuple") else (lambda v: v)
+        lo, hi = (float(x) for x in interval[1:-1].split(", "))
+        for end, closed, inward in ((lo, interval[0] == "[", 1), (hi, interval[-1] == "]", -1)):
+            if math.isinf(end):
+                continue
+            if whole:
+                end = int(end)
+            past = end - inward if whole else math.nextafter(end, -inward * math.inf)
+            within = end + inward if whole else math.nextafter(end, inward * math.inf)
+            inside, outside = (end, past) if closed else (within, end)
+            assert getattr(cls(**{f.name: wrap(inside)}), f.name) == wrap(inside)
+            with pytest.raises(ValueError, match=rf"^{f.name} must (lie|hold values) in "
+                                                 rf"{re.escape(interval)}, got "):
+                cls(**{f.name: wrap(outside)})
+
+
 def test_config_takes_finite_real_numbers_only():
     assert AnalysisConfig(eps_r=9, beta=np.float64(1.0), t_ox_nm=None).eps_r == 9
     for bad in ("x", None, True, math.inf, math.nan, 1j):
@@ -556,6 +607,18 @@ def test_cli_refuses_a_config_value_that_is_not_a_finite_number(tmp_path, capsys
     assert capsys.readouterr() == ("", f"jjwafer: error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [("all",), ("iv", "--t-ox", "4.0")])
+def test_cli_refuses_a_relative_permittivity_below_one(tmp_path, capsys, argv):
+    # the bound the thickness conversion and OxideModel hold eps_r to, met
+    # before any stage runs, also by a run that takes its thickness from --t-ox
+    out = str(tmp_path / "w.jjw")
+    save_dataset(generate_wafer(WaferSpec(rows=5, cols=5, seed=1)).dataset, out)
+    assert run_cli("analyze", argv[0], out, *argv[1:], "--eps-r", "0.5") == EXIT_INVALID
+    assert capsys.readouterr() == ("", "jjwafer: error: eps_r must lie in [1, inf), got 0.5\n")
+    assert run_cli("analyze", argv[0], out, *argv[1:], "--eps-r", "1") == EXIT_OK
+    capsys.readouterr()
+
+
 def test_cli_simulate_refuses_out_of_range_seeds(tmp_path, capsys):
     out = tmp_path / "w.jjw"
     for argv in (("--seed", "-1"), ("--seed", str(2**64)),
@@ -573,8 +636,9 @@ def test_cli_simulate_refuses_out_of_range_seeds(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("override, message", [
-    ("cap_areas_um2=0,25,50", "cap record 0: area_um2 must be positive, got 0.0"),
-    ("ramp_rate_v_per_s=0", "ramp record 0: rate_v_per_s must be positive, got 0.0"),
+    ("cap_areas_um2=0,25,50", "cap_areas_um2 must hold values in (0, inf), "
+                              "got (0.0, 25.0, 50.0)"),
+    ("ramp_rate_v_per_s=0", "ramp_rate_v_per_s must lie in (0, inf), got 0.0"),
 ])
 def test_cli_simulate_refuses_a_dataset_the_readers_refuse(tmp_path, capsys, fmt,
                                                             override, message):
@@ -582,6 +646,70 @@ def test_cli_simulate_refuses_a_dataset_the_readers_refuse(tmp_path, capsys, fmt
     argv = ("simulate", "--out", str(out), "--format", fmt, "--set", override)
     assert run_cli(*argv) == EXIT_INVALID
     assert capsys.readouterr().err == f"jjwafer: error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_simulate_writes_nothing_the_writer_gate_refuses(tmp_path, capsys, monkeypatch,
+                                                             fmt):
+    # the spec refuses a zero area, so only a generator that writes one
+    # reaches save_dataset's gate
+    def zero_area_wafer(spec):
+        result = generate_wafer(spec)
+        result.dataset.cap[0] = dataclasses.replace(result.dataset.cap[0], area_um2=0.0)
+        return result
+
+    monkeypatch.setattr(cli_module, "generate_wafer", zero_area_wafer)
+    out = tmp_path / "w.dat"
+    argv = ("simulate", "--out", str(out), "--format", fmt, "--set", "rows=5", "--set", "cols=5")
+    assert run_cli(*argv) == EXIT_INVALID
+    assert capsys.readouterr() == ("", "jjwafer: error: cap record 0: area_um2 must be "
+                                       "positive, got 0.0\n")
+    assert os.listdir(tmp_path) == []
+
+
+# for each WaferSpec field whose range-table entry (or, for iv_v_max, the
+# sweep rule) is the only check before generation: a value outside its
+# interval, and the message that names the field
+_NEWLY_BOUNDED = [
+    ("iv_area_um2=0", "iv_area_um2 must lie in (0, inf), got 0.0"),
+    ("iv_v_min=0", "iv_v_min must lie in (0, inf), got 0.0"),
+    ("iv_v_min=-1", "iv_v_min must lie in (0, inf), got -1.0"),
+    ("iv_v_max=0.001", "iv_v_min must be below iv_v_max, got 0.01 and 0.001"),
+    ("iv_points=1", "iv_points must lie in [2, inf), got 1"),
+    ("fn_crossover_v=0", "fn_crossover_v must lie in (0, inf), got 0.0"),
+    ("res_h_um=0", "res_h_um must lie in (0, inf), got 0.0"),
+    ("res_w_top_um=0", "res_w_top_um must lie in (0, inf), got 0.0"),
+    ("res_w_bot_um=-2", "res_w_bot_um must lie in (0, inf), got -2.0"),
+    ("res_w_bot_series_um=5,0", "res_w_bot_series_um must hold values in (0, inf), "
+                                "got (5.0, 0.0)"),
+    ("res_w_top_series_um=-1", "res_w_top_series_um must hold values in (0, inf), "
+                               "got (-1.0,)"),
+    ("ra_mohm_um2=-1", "ra_mohm_um2 must lie in (0, inf), got -1.0"),
+    ("ra_s_mohm_um2=0", "ra_s_mohm_um2 must lie in (0, inf), got 0.0"),
+    ("k_sidewall_per_nm=-1", "k_sidewall_per_nm must lie in (0, inf), got -1.0"),
+    ("cap_areas_um2=0,25", "cap_areas_um2 must hold values in (0, inf), got (0.0, 25.0)"),
+    ("ramp_area_um2=-5", "ramp_area_um2 must lie in (0, inf), got -5.0"),
+    ("ramp_rate_v_per_s=0", "ramp_rate_v_per_s must lie in (0, inf), got 0.0"),
+    ("intrinsic_field_mv_cm=0", "intrinsic_field_mv_cm must lie in (0, inf), got 0.0"),
+    ("defect_field_mv_cm=-1", "defect_field_mv_cm must lie in (0, inf), got -1.0"),
+    ("beta=0", "beta must lie in (0, inf), got 0.0"),
+    ("m_rel=-0.5", "m_rel must lie in (0, inf), got -0.5"),
+    ("intrinsic_field_rsd_pct=-1", "intrinsic_field_rsd_pct must lie in [0, inf), got -1.0"),
+    ("defect_field_rsd_pct=-0.1", "defect_field_rsd_pct must lie in [0, inf), got -0.1"),
+    ("eps_r=0.5", "eps_r must lie in [1, inf), got 0.5"),
+]
+
+
+@pytest.mark.parametrize("override, message", _NEWLY_BOUNDED,
+                         ids=[override for override, _ in _NEWLY_BOUNDED])
+def test_cli_simulate_refuses_a_field_outside_its_interval(tmp_path, capsys, override,
+                                                           message):
+    out = tmp_path / "w.jjw"
+    argv = ("simulate", "--out", str(out), "--set", "rows=5", "--set", "cols=5",
+            "--set", override)
+    assert run_cli(*argv) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"jjwafer: error: {message}\n")
     assert os.listdir(tmp_path) == []
 
 

@@ -8,8 +8,8 @@ report_sha256.json holds the SHA-256 of render_text and render_json of
 * the benchmark's 56x56 etch30 wafer of seed 7 at 5.5e5 defects/cm2, under
   the same four runs
 
-and of every file `jjwafer report --out` writes for etch30 seed 0, which
-must be the same bytes from text and from JSON input.  A change that moves
+and of every file one `jjwafer report --out` writes for each preset's seed-0
+wafer, which must be the same bytes from text and from JSON input.  A change that moves
 report bytes on purpose prints the table again with
 `PYTHONPATH=src python tests/test_report_digests.py > tests/report_sha256.json`
 and names the fields that moved.
@@ -66,13 +66,17 @@ def render_digests(reports, fmt):
 
 
 def cli_digests(work, fmt):
-    """file name -> digest of every file `jjwafer report --out` writes for
-    etch30 seed 0, read from a file in fmt"""
-    path = os.path.join(work, "w.jjw" if fmt == "text" else "w.json")
-    save_dataset(generate_wafer(preset_spec("etch30", 0)).dataset, path, fmt)
+    """file name -> digest of every file one `jjwafer report --out` writes
+    for each preset's seed-0 wafer, read from files in fmt.  A file is named
+    after its preset; etch30's keeps the name w its row was first pinned under."""
+    paths = []
+    for preset in PRESET_NAMES:
+        stem = "w" if preset == "etch30" else preset
+        paths.append(os.path.join(work, f"{stem}.jjw" if fmt == "text" else f"{stem}.json"))
+        save_dataset(generate_wafer(preset_spec(preset, 0)).dataset, paths[-1], fmt)
     out = os.path.join(work, "out")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["report", path, "--out", out]) == EXIT_OK
+        assert main(["report", *paths, "--out", out]) == EXIT_OK
     digests = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as handle:

@@ -462,3 +462,15 @@ def test_spec_validation():
             WaferSpec(seed=seed)
     assert generate_wafer(WaferSpec(rows=2, cols=2, seed=2**64 - 1)).dataset.meta["seed"] \
         == str(2**64 - 1)
+
+
+@pytest.mark.parametrize("low, high", [("ramp_step_v", "ramp_v_max"), ("iv_v_min", "iv_v_max")])
+def test_spec_refuses_a_ramp_or_sweep_that_does_not_rise(low, high):
+    # the two rules that read two fields; the range table bounds each alone
+    spec = WaferSpec()
+    x = getattr(spec, low)
+    for y in (x, x / 2, -x):
+        with pytest.raises(ValueError, match=rf"^{low} must be below {high}, "
+                                             rf"got {x!r} and {y!r}$"):
+            WaferSpec(**{high: y})
+    assert getattr(WaferSpec(**{high: math.nextafter(x, math.inf)}), high) > x
